@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot paths under the simulator: datatype
-//! flattening, CPU packing, the simulation kernel itself and the GPU data
-//! plane. These guard the *real* performance of the library code
+//! commit, CPU packing, the simulation kernel itself and
+//! the GPU data plane. These guard the *real* performance of the library code
 //! (wall-clock), complementing the virtual-time experiment harness.
 //!
 //! Plain `harness = false` main (no external bench framework): each case
@@ -11,6 +11,7 @@ use hostmem::HostBuf;
 use mpi_sim::pack::PackCursor;
 use mpi_sim::Datatype;
 use sim_core::{Sim, SimDur};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Run `f` `iters` times and print per-iteration mean and min.
@@ -32,30 +33,32 @@ fn bench<R>(name: &str, iters: usize, mut f: impl FnMut() -> R) {
     );
 }
 
-fn bench_flatten() {
-    for rows in [1usize << 10, 1 << 14, 1 << 17] {
-        bench(&format!("datatype_flatten/{rows}"), 20, || {
-            let dt = Datatype::vector(rows, 1, 4, &Datatype::float());
-            dt.commit();
-            dt.flat().segments().len()
-        });
-    }
-}
-
-fn bench_expand() {
-    let dt = Datatype::vector(1 << 16, 1, 4, &Datatype::float());
+/// Commit of the paper's vector shape at 131072 rows: the datatype tree
+/// canonicalizes to a one-block stride program, so this is independent of
+/// the row count. Also reports the heap bytes of the message's plan.
+fn bench_commit() {
+    let rows = 1usize << 17;
+    bench(&format!("datatype_commit/{rows}_rows"), 20, || {
+        let dt = Datatype::vector(rows, 1, 4, &Datatype::float());
+        dt.commit();
+        dt.flat().program().blocks().len()
+    });
+    let dt = Datatype::vector(rows, 1, 4, &Datatype::float());
     dt.commit();
-    let flat = dt.flat();
-    bench("expand_64k_segments", 20, || flat.expanded(1).len());
+    println!(
+        "{:<40} {} bytes",
+        format!("plan_heap_bytes/{rows}_rows"),
+        dt.plan(1).heap_bytes()
+    );
 }
 
 fn bench_cpu_pack() {
     let dt = Datatype::vector(1 << 16, 1, 4, &Datatype::float());
     dt.commit();
-    let segs = dt.flat().expanded(1);
-    let buf = HostBuf::alloc(1 << 20);
-    bench("cpu_pack/gather_256k_over_64k_segments", 20, || {
-        let mut cursor = PackCursor::new(buf.base(), segs.clone());
+    let plan = dt.plan(1);
+    let buf = HostBuf::from_vec(vec![1u8; 1 << 20]);
+    bench("cpu_pack/gather_256k_over_64k_runs", 20, || {
+        let mut cursor = PackCursor::from_plan(buf.base(), Arc::clone(&plan));
         cursor.pack_all().len()
     });
 }
@@ -83,29 +86,32 @@ fn bench_sim_kernel() {
     });
 }
 
+/// `Gpu::memcpy_2d` D2D at the paper's 4 MiB vector geometry: 2^20
+/// four-byte rows at a 16-byte pitch, packed to a 4-byte pitch. Timed
+/// inside one simulated process, so only the row mover is measured.
 fn bench_gpu_data_plane() {
-    bench("gpu_copy/strided_2d_copy_1mb", 20, || {
-        let sim = Sim::new();
-        sim.spawn("p", || {
-            let gpu = Gpu::tesla_c2050(0);
-            let src = gpu.malloc(4 << 20);
-            let dst = gpu.malloc(1 << 20);
+    let sim = Sim::new();
+    sim.spawn("p", || {
+        let rows = 1usize << 20;
+        let gpu = Gpu::new(0, gpu_sim::CostModel::tesla_c2050(), 64 << 20);
+        let src = gpu.malloc(rows * 16);
+        let dst = gpu.malloc(rows * 4);
+        bench(&format!("gpu_copy/memcpy_2d_{rows}_rows"), 20, || {
             gpu.memcpy_2d(gpu_sim::Copy2d {
                 dst: gpu_sim::Loc::Device(dst),
                 dpitch: 4,
                 src: gpu_sim::Loc::Device(src),
                 spitch: 16,
                 width: 4,
-                height: 1 << 18,
-            });
+                height: rows,
+            })
         });
-        sim.run()
     });
+    sim.run();
 }
 
 fn main() {
-    bench_flatten();
-    bench_expand();
+    bench_commit();
     bench_cpu_pack();
     bench_sim_kernel();
     bench_gpu_data_plane();

@@ -1,4 +1,4 @@
-//! GPU-offloaded datatype packing: turn flattened datatype segments into
+//! GPU-offloaded datatype packing: turn a plan's stride program into
 //! device-internal copy operations.
 //!
 //! This is the paper's first contribution (§IV-A): instead of moving each
@@ -6,9 +6,9 @@
 //! memory — ideally with a single strided `cudaMemcpy2D` — and then crosses
 //! PCIe as one contiguous block.
 //!
-//! [`SegmentMap`] slices a flattened layout into arbitrary packed-byte
-//! ranges (pipeline chunks); [`enqueue_gather`] / [`enqueue_scatter`] emit
-//! the cheapest device operation sequence for a range:
+//! [`SegmentMap`] slices a committed layout into arbitrary packed-byte
+//! ranges (pipeline chunks) and emits the cheapest device operation
+//! sequence for each:
 //!
 //! * one contiguous `memcpy` when the range is a single run,
 //! * one strided 2-D copy when the runs are uniform (optionally with
@@ -16,19 +16,24 @@
 //! * a generic gather/scatter pack kernel for irregular layouts
 //!   (indexed/struct types — beyond what the paper evaluated, but what its
 //!   production descendants do).
+//!
+//! For a `Strided2D` plan the choice is plain arithmetic on the chunk's
+//! row span; any other layout maps the chunk to its pieces first and
+//! applies the rules above to them. Both reach the same decision for the
+//! same range.
 
 use std::sync::Arc;
 
 use gpu_sim::{Copy2d, DevPtr, Gpu, Loc, Stream};
-use mpi_sim::flat::Segment;
+use mpi_sim::flat::{Layout, Segment};
 use mpi_sim::Plan;
 use sim_core::Completion;
 
-/// A flattened layout with prefix sums for O(log n) chunk slicing.
+/// A committed layout, sliced into device operations per packed range.
 ///
-/// Since the plan cache landed this is a thin view over a shared
-/// [`Plan`] — building one from a committed datatype's cached plan
-/// (`SegmentMap::from_plan(dt.plan(count))`) allocates nothing.
+/// A thin view over a shared [`Plan`]: building one from a committed
+/// datatype's cached plan (`SegmentMap::from_plan(dt.plan(count))`)
+/// allocates nothing.
 pub struct SegmentMap {
     plan: Arc<Plan>,
 }
@@ -37,8 +42,31 @@ pub struct SegmentMap {
 /// address, length).
 pub type Piece = mpi_sim::plan::Piece;
 
+/// `height` rows of `width` bytes, `pitch` apart, the first at user offset
+/// `first`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Rows {
+    first: isize,
+    pitch: usize,
+    width: usize,
+    height: usize,
+}
+
+/// The device operations that move one packed range.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Ops {
+    /// One contiguous copy.
+    Contig(Piece),
+    /// One pitched 2-D copy.
+    Rows(Rows),
+    /// Clipped head run, pitched middle, clipped tail run.
+    Peeled(Piece, Rows, Piece),
+    /// A generic gather/scatter kernel over these pieces.
+    Kernel(Vec<Piece>),
+}
+
 impl SegmentMap {
-    /// Build from expanded segments (see `FlatType::expanded`).
+    /// Build from an explicit segment list.
     pub fn new(segs: Vec<Segment>) -> Self {
         Self::from_plan(Arc::new(Plan::from_segments(segs)))
     }
@@ -58,7 +86,7 @@ impl SegmentMap {
         self.plan.total()
     }
 
-    /// Number of segments.
+    /// Number of runs.
     pub fn num_segments(&self) -> usize {
         self.plan.num_segments()
     }
@@ -67,16 +95,71 @@ impl SegmentMap {
     pub fn pieces(&self, off: usize, len: usize) -> Vec<Piece> {
         self.plan.pieces(off, len)
     }
+
+    fn ops(&self, off: usize, len: usize) -> Ops {
+        assert!(len > 0, "empty packed range");
+        match *self.plan.layout() {
+            Layout::Strided2D {
+                first,
+                pitch,
+                width,
+                height,
+            } => {
+                assert!(
+                    off + len <= width * height,
+                    "range [{off}, +{len}) exceeds packed size {}",
+                    width * height
+                );
+                strided_ops(first, pitch, width, off, len)
+            }
+            _ => ops_of(self.plan.pieces(off, len)),
+        }
+    }
+
+    /// Enqueue the device ops that pack packed bytes `[off, off+len)` of
+    /// the user buffer at `user` into contiguous device memory at `dst`.
+    /// Returns the completion of the last op.
+    pub fn gather(
+        &self,
+        gpu: &Gpu,
+        stream: &Stream,
+        user: DevPtr,
+        off: usize,
+        len: usize,
+        dst: DevPtr,
+    ) -> Completion {
+        enqueue_ops(gpu, stream, user, self.ops(off, len), dst, true)
+    }
+
+    /// Enqueue the device ops that scatter `len` contiguous bytes at `src`
+    /// into packed bytes `[off, off+len)` of the user buffer at `user`.
+    pub fn scatter(
+        &self,
+        gpu: &Gpu,
+        stream: &Stream,
+        user: DevPtr,
+        off: usize,
+        len: usize,
+        src: DevPtr,
+    ) -> Completion {
+        enqueue_ops(gpu, stream, user, self.ops(off, len), src, false)
+    }
 }
 
-/// If `pieces` form `height` equal-width runs at a constant pitch, return
-/// `(first_offset, pitch, width, height)`.
-fn uniform(pieces: &[Piece]) -> Option<(isize, usize, usize, usize)> {
+/// If `pieces` form `height` equal-width runs at a constant pitch no
+/// smaller than the width, return them as rows. Overlapping runs (a legal
+/// send layout) are not a 2-D copy.
+fn uniform(pieces: &[Piece]) -> Option<Rows> {
     match pieces {
         [] => None,
-        &[(off, len)] => Some((off, len, len, 1)),
+        &[(first, len)] => Some(Rows {
+            first,
+            pitch: len,
+            width: len,
+            height: 1,
+        }),
         &[(o0, w0), (o1, w1), ref rest @ ..] => {
-            if w1 != w0 || o1 <= o0 {
+            if w1 != w0 || o1 - o0 < w0 as isize {
                 return None;
             }
             let pitch = (o1 - o0) as usize;
@@ -87,145 +170,162 @@ fn uniform(pieces: &[Piece]) -> Option<(isize, usize, usize, usize)> {
                 }
                 prev = o;
             }
-            Some((o0, pitch, w0, pieces.len()))
+            Some(Rows {
+                first: o0,
+                pitch,
+                width: w0,
+                height: pieces.len(),
+            })
         }
     }
+}
+
+/// The device operations for an explicit piece list.
+fn ops_of(pieces: Vec<Piece>) -> Ops {
+    assert!(!pieces.is_empty(), "empty piece list");
+    // Whole range uniform: one strided copy (or a plain memcpy for a single
+    // run).
+    if let Some(r) = uniform(&pieces) {
+        if r.height == 1 || r.pitch == r.width {
+            return Ops::Contig((r.first, pieces.iter().map(|&(_, l)| l).sum()));
+        }
+        return Ops::Rows(r);
+    }
+    // Chunk boundaries often clip the first/last run of an otherwise
+    // uniform pattern: peel them off and 2-D-copy the middle.
+    let n = pieces.len();
+    if n >= 3 {
+        if let Some(mid) = uniform(&pieces[1..n - 1]) {
+            let (head, tail) = (pieces[0], pieces[n - 1]);
+            if mid.height >= 2 && head.1 <= mid.width && tail.1 <= mid.width {
+                return Ops::Peeled(head, mid, tail);
+            }
+        }
+    }
+    Ops::Kernel(pieces)
+}
+
+/// [`ops_of`] for packed range `[off, off+len)` of `width`-byte rows at
+/// `pitch > width`, computed from the range's row span alone.
+fn strided_ops(first: isize, pitch: usize, width: usize, off: usize, len: usize) -> Ops {
+    let at = |row: usize| first + (row * pitch) as isize;
+    let (r0, c0) = (off / width, off % width);
+    let end = off + len;
+    let r1 = (end - 1) / width;
+    if r0 == r1 {
+        return Ops::Contig((at(r0) + c0 as isize, len));
+    }
+    let head = (at(r0) + c0 as isize, width - c0);
+    let tail = (at(r1), end - r1 * width);
+    let n = r1 - r0 + 1;
+    if n == 2 {
+        // Two equal clipped runs are still uniform, at the clipped pitch.
+        if head.1 == tail.1 {
+            return Ops::Rows(Rows {
+                first: head.0,
+                pitch: pitch - c0,
+                width: head.1,
+                height: 2,
+            });
+        }
+        return Ops::Kernel(vec![head, tail]);
+    }
+    let rows = |r: usize, height: usize| Rows {
+        first: at(r),
+        pitch,
+        width,
+        height,
+    };
+    if c0 == 0 && tail.1 == width {
+        return Ops::Rows(rows(r0, n));
+    }
+    if n >= 4 {
+        return Ops::Peeled(head, rows(r0 + 1, n - 2), tail);
+    }
+    Ops::Kernel(vec![head, (at(r0 + 1), width), tail])
 }
 
 fn dev_at(base: DevPtr, rel: isize) -> DevPtr {
     base.add_signed(rel)
 }
 
-/// Enqueue the device ops that pack `pieces` of the user buffer at `user`
-/// into contiguous device memory at `dst`. Returns the completion of the
-/// last op.
-pub fn enqueue_gather(
+fn enqueue_ops(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Piece],
-    dst: DevPtr,
-) -> Completion {
-    enqueue_strided(gpu, stream, user, pieces, dst, true)
-}
-
-/// Enqueue the device ops that scatter contiguous device memory at `src`
-/// into `pieces` of the user buffer at `user`.
-pub fn enqueue_scatter(
-    gpu: &Gpu,
-    stream: &Stream,
-    user: DevPtr,
-    pieces: &[Piece],
-    src: DevPtr,
-) -> Completion {
-    enqueue_strided(gpu, stream, user, pieces, src, false)
-}
-
-fn enqueue_strided(
-    gpu: &Gpu,
-    stream: &Stream,
-    user: DevPtr,
-    pieces: &[Piece],
+    ops: Ops,
     contig: DevPtr,
     gather: bool,
 ) -> Completion {
-    assert!(!pieces.is_empty(), "empty piece list");
-    let total: usize = pieces.iter().map(|&(_, l)| l).sum();
-
-    let copy2d = |first: isize, pitch: usize, width: usize, height: usize, cbase: DevPtr| {
-        let strided = Loc::Device(dev_at(user, first));
+    let copy1d = |(rel, len): Piece, cbase: DevPtr| {
+        let (d, s) = if gather {
+            (cbase, dev_at(user, rel))
+        } else {
+            (dev_at(user, rel), cbase)
+        };
+        gpu.memcpy_async(d, s, len, stream)
+    };
+    let copy2d = |r: Rows, cbase: DevPtr| {
+        let strided = Loc::Device(dev_at(user, r.first));
         let contig_loc = Loc::Device(cbase);
         let p = if gather {
             Copy2d {
                 dst: contig_loc,
-                dpitch: width,
+                dpitch: r.width,
                 src: strided,
-                spitch: pitch,
-                width,
-                height,
+                spitch: r.pitch,
+                width: r.width,
+                height: r.height,
             }
         } else {
             Copy2d {
                 dst: strided,
-                dpitch: pitch,
+                dpitch: r.pitch,
                 src: contig_loc,
-                spitch: width,
-                width,
-                height,
+                spitch: r.width,
+                width: r.width,
+                height: r.height,
             }
         };
         gpu.memcpy_2d_async(p, stream)
     };
-
-    // Whole range uniform: one strided copy (or a plain memcpy for a single
-    // run).
-    if let Some((first, pitch, width, height)) = uniform(pieces) {
-        if height == 1 || pitch == width {
-            let (d, s) = if gather {
-                (contig, dev_at(user, first))
-            } else {
-                (dev_at(user, first), contig)
-            };
-            return gpu.memcpy_async(d, s, total, stream);
+    match ops {
+        Ops::Contig(piece) => copy1d(piece, contig),
+        Ops::Rows(r) => copy2d(r, contig),
+        Ops::Peeled(head, mid, tail) => {
+            copy1d(head, contig);
+            let coff = contig.add(head.1);
+            copy2d(mid, coff);
+            copy1d(tail, coff.add(mid.width * mid.height))
         }
-        return copy2d(first, pitch, width, height, contig);
-    }
-
-    // Chunk boundaries often clip the first/last run of an otherwise
-    // uniform pattern: peel them off and 2-D-copy the middle.
-    if pieces.len() >= 3 {
-        if let Some((first, pitch, width, height)) = uniform(&pieces[1..pieces.len() - 1]) {
-            let head = pieces[0];
-            let tail = pieces[pieces.len() - 1];
-            if height >= 2 && head.1 <= width && tail.1 <= width {
-                let mut coff = contig;
-                let (hd, hs) = if gather {
-                    (coff, dev_at(user, head.0))
-                } else {
-                    (dev_at(user, head.0), coff)
-                };
-                gpu.memcpy_async(hd, hs, head.1, stream);
-                coff = coff.add(head.1);
-                copy2d(first, pitch, width, height, coff);
-                coff = coff.add(width * height);
-                let (td, ts) = if gather {
-                    (coff, dev_at(user, tail.0))
-                } else {
-                    (dev_at(user, tail.0), coff)
-                };
-                return gpu.memcpy_async(td, ts, tail.1, stream);
-            }
-        }
-    }
-
-    // Irregular: one generic gather/scatter kernel.
-    let cost = gpu.cost_model().pack_kernel(total as u64, pieces.len());
-    let pieces: Vec<Piece> = pieces.to_vec();
-    let user_c = user;
-    let contig_c = contig;
-    gpu.launch_kernel(
-        if gather {
-            "pack_gather"
-        } else {
-            "unpack_scatter"
-        },
-        cost,
-        stream,
-        move |g| {
-            let mut coff = contig_c;
-            for (rel, len) in pieces {
-                let u = dev_at(user_c, rel);
+        Ops::Kernel(pieces) => {
+            let total: usize = pieces.iter().map(|&(_, l)| l).sum();
+            let cost = gpu.cost_model().pack_kernel(total as u64, pieces.len());
+            gpu.launch_kernel(
                 if gather {
-                    let bytes = g.read_bytes(u, len);
-                    g.write_bytes(coff, &bytes);
+                    "pack_gather"
                 } else {
-                    let bytes = g.read_bytes(coff, len);
-                    g.write_bytes(u, &bytes);
-                }
-                coff = coff.add(len);
-            }
-        },
-    )
+                    "unpack_scatter"
+                },
+                cost,
+                stream,
+                move |g| {
+                    let mut coff = contig;
+                    for (rel, len) in pieces {
+                        let u = dev_at(user, rel);
+                        if gather {
+                            let bytes = g.read_bytes(u, len);
+                            g.write_bytes(coff, &bytes);
+                        } else {
+                            let bytes = g.read_bytes(coff, len);
+                            g.write_bytes(u, &bytes);
+                        }
+                        coff = coff.add(len);
+                    }
+                },
+            )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,7 +342,16 @@ mod tests {
 
     fn map_of(dt: &Datatype, count: usize) -> SegmentMap {
         dt.commit();
-        SegmentMap::new(dt.flat().expanded(count))
+        SegmentMap::from_plan(dt.plan(count))
+    }
+
+    fn rows(first: isize, pitch: usize, width: usize, height: usize) -> Rows {
+        Rows {
+            first,
+            pitch,
+            width,
+            height,
+        }
     }
 
     #[test]
@@ -266,8 +375,13 @@ mod tests {
 
     #[test]
     fn uniform_detection() {
-        assert_eq!(uniform(&[(0, 4), (16, 4), (32, 4)]), Some((0, 16, 4, 3)));
-        assert_eq!(uniform(&[(8, 4)]), Some((8, 4, 4, 1)));
+        assert_eq!(
+            uniform(&[(0, 4), (16, 4), (32, 4)]),
+            Some(rows(0, 16, 4, 3))
+        );
+        assert_eq!(uniform(&[(8, 4)]), Some(rows(8, 4, 4, 1)));
+        // Overlapping runs are not a 2-D copy.
+        assert_eq!(uniform(&[(0, 8), (4, 8), (8, 8)]), None);
         assert_eq!(uniform(&[(0, 4), (16, 8)]), None);
         assert_eq!(uniform(&[(0, 4), (16, 4), (30, 4)]), None);
         assert_eq!(uniform(&[]), None);
@@ -284,13 +398,18 @@ mod tests {
             let dt = Datatype::vector(8, 1, 8, &Datatype::float());
             let m = map_of(&dt, 1);
             let before = gpu.counters().get("cudaMemcpy2DAsync");
-            let c = enqueue_gather(&gpu, &s, user, &m.pieces(0, 32), tbuf);
-            c.wait();
+            m.gather(&gpu, &s, user, 0, 32, tbuf).wait();
             assert_eq!(gpu.counters().get("cudaMemcpy2DAsync"), before + 1);
             let got = gpu.read_bytes(tbuf, 32);
             for r in 0..8 {
                 assert_eq!(&got[r * 4..r * 4 + 4], gpu.read_bytes(user.add(r * 32), 4));
             }
+            // A row-aligned pipeline chunk (rows 2..6) is one 2-D copy too.
+            let kernels = gpu.counters().get("kernelLaunch");
+            m.gather(&gpu, &s, user, 8, 16, tbuf).wait();
+            assert_eq!(gpu.counters().get("cudaMemcpy2DAsync"), before + 2);
+            assert_eq!(gpu.counters().get("kernelLaunch"), kernels);
+            assert_eq!(gpu.read_bytes(tbuf, 16), &got[8..24]);
         });
     }
 
@@ -308,9 +427,7 @@ mod tests {
             let dt = Datatype::vector(32, 1, 8, &Datatype::float());
             let m = map_of(&dt, 1); // 32 runs of 4 bytes
                                     // A range that starts and ends mid-run.
-            let pieces = m.pieces(2, 100);
-            let c = enqueue_gather(&gpu, &s, user, &pieces, tbuf);
-            c.wait();
+            m.gather(&gpu, &s, user, 2, 100, tbuf).wait();
             // Reference: CPU-computed expected packed bytes.
             let all: Vec<u8> = (0..32)
                 .flat_map(|r| gpu.read_bytes(user.add(r * 32), 4))
@@ -330,14 +447,19 @@ mod tests {
             let dt = Datatype::indexed(&[(1, 0), (2, 9), (1, 30), (3, 40)], &Datatype::int());
             let m = map_of(&dt, 1);
             let before = gpu.counters().get("kernelLaunch");
-            let c = enqueue_gather(&gpu, &s, user, &m.pieces(0, m.total()), tbuf);
-            c.wait();
+            let copies = gpu.counters().get("cudaMemcpy2DAsync");
+            m.gather(&gpu, &s, user, 0, m.total(), tbuf).wait();
             assert_eq!(gpu.counters().get("kernelLaunch"), before + 1);
             let mut expect = Vec::new();
             for (bl, disp) in [(1usize, 0usize), (2, 9), (1, 30), (3, 40)] {
                 expect.extend(gpu.read_bytes(user.add(disp * 4), bl * 4));
             }
             assert_eq!(gpu.read_bytes(tbuf, m.total()), expect);
+            // A pipeline chunk of the same layout is one kernel as well.
+            m.gather(&gpu, &s, user, 2, 20, tbuf).wait();
+            assert_eq!(gpu.counters().get("kernelLaunch"), before + 2);
+            assert_eq!(gpu.counters().get("cudaMemcpy2DAsync"), copies);
+            assert_eq!(gpu.read_bytes(tbuf, 20), &expect[2..22]);
         });
     }
 
@@ -352,9 +474,8 @@ mod tests {
             let s = gpu.create_stream();
             let dt = Datatype::vector(16, 2, 8, &Datatype::float());
             let m = map_of(&dt, 1); // 16 runs of 8 bytes, pitch 32
-            let pieces = m.pieces(0, m.total());
-            enqueue_gather(&gpu, &s, a, &pieces, tbuf).wait();
-            enqueue_scatter(&gpu, &s, b, &pieces, tbuf).wait();
+            m.gather(&gpu, &s, a, 0, m.total(), tbuf).wait();
+            m.scatter(&gpu, &s, b, 0, m.total(), tbuf).wait();
             for r in 0..16 {
                 assert_eq!(
                     gpu.read_bytes(b.add(r * 32), 8),
@@ -376,9 +497,56 @@ mod tests {
             let dt = Datatype::contiguous(32, &Datatype::float());
             let m = map_of(&dt, 1);
             let before2d = gpu.counters().get("cudaMemcpy2DAsync");
-            enqueue_gather(&gpu, &s, user, &m.pieces(0, 128), tbuf).wait();
+            m.gather(&gpu, &s, user, 0, 128, tbuf).wait();
             assert_eq!(gpu.counters().get("cudaMemcpy2DAsync"), before2d);
             assert_eq!(gpu.read_bytes(tbuf, 128), gpu.read_bytes(user, 128));
+        });
+    }
+
+    #[test]
+    fn strided_arithmetic_matches_the_piece_rules() {
+        // Every range of every small strided geometry: the row-span
+        // arithmetic picks exactly the ops the piece-list rules pick.
+        for width in 1..5usize {
+            for pitch in width + 1..width + 4 {
+                for height in 1..7usize {
+                    let segs = (0..height)
+                        .map(|r| Segment {
+                            offset: 3 + (r * pitch) as isize,
+                            len: width,
+                        })
+                        .collect();
+                    let m = SegmentMap::new(segs);
+                    let total = width * height;
+                    for off in 0..total {
+                        for len in 1..=total - off {
+                            assert_eq!(
+                                m.ops(off, len),
+                                ops_of(m.pieces(off, len)),
+                                "w{width} p{pitch} h{height} [{off}, +{len})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_rows_pack_with_the_gather_kernel() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let user = gpu.malloc(64);
+            let tbuf = gpu.malloc(64);
+            gpu.write_bytes(user, &(0..64).collect::<Vec<u8>>());
+            let s = gpu.create_stream();
+            // Three 8-byte blocks every 4 bytes: a legal send type.
+            let m = map_of(&Datatype::hvector(3, 2, 4, &Datatype::float()), 1);
+            let k0 = gpu.counters().get("kernelLaunch");
+            m.gather(&gpu, &s, user, 0, 24, tbuf).wait();
+            assert_eq!(gpu.counters().get("kernelLaunch"), k0 + 1);
+            let expect: Vec<u8> = (0..3u8).flat_map(|b| b * 4..b * 4 + 8).collect();
+            assert_eq!(gpu.read_bytes(tbuf, 24), expect);
         });
     }
 }

@@ -26,7 +26,7 @@ use mpi_sim::Datatype;
 use sim_core::{Completion, SimTime};
 use sim_trace::{Lane, LaneKind, Recorder};
 
-use crate::gpu_pack::{enqueue_gather, enqueue_scatter, SegmentMap};
+use crate::gpu_pack::SegmentMap;
 use crate::pools::{Tbuf, TbufPool};
 
 /// The per-rank pipeline stage lanes (Figure 3's four GPU-side stages; the
@@ -133,12 +133,12 @@ impl SendSource for GpuSendSource {
         for i in 0..nchunks {
             let off = i * chunk_size;
             let len = chunk_size.min(self.total - off);
-            let pieces = self.map.pieces(off, len);
-            let comp = enqueue_gather(
+            let comp = self.map.gather(
                 &self.gpu,
                 &self.pack_stream,
                 self.user,
-                &pieces,
+                off,
+                len,
                 tbuf.add(off),
             );
             self.lanes.pack.comp_span("pack", Some(i), &comp);
@@ -196,8 +196,9 @@ impl SendSource for GpuSendSource {
             return Some((cptr, Completion::ready()));
         }
         let tbuf = self.ensure_tbuf();
-        let pieces = self.map.pieces(0, self.total);
-        let comp = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
+        let comp = self
+            .map
+            .gather(&self.gpu, &self.pack_stream, self.user, 0, self.total, tbuf);
         self.lanes.pack.comp_span("pack", None, &comp);
         Some((tbuf, comp))
     }
@@ -215,8 +216,9 @@ impl SendSource for GpuSendSource {
             }
             None => {
                 let tbuf = self.ensure_tbuf();
-                let pieces = self.map.pieces(0, self.total);
-                let pack = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
+                let pack =
+                    self.map
+                        .gather(&self.gpu, &self.pack_stream, self.user, 0, self.total, tbuf);
                 self.d2h_stream.wait_event(&pack);
                 self.gpu
                     .memcpy_async(Loc::Host(host.base()), tbuf, self.total, &self.d2h_stream)
@@ -325,12 +327,12 @@ impl RecvSink for GpuRecvSink {
                 self.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
                 // Unpack after this chunk's H2D (stream-wait dependency).
                 self.unpack_stream.wait_event(&h2d);
-                let pieces = self.map.pieces(off, len);
-                let up = enqueue_scatter(
+                let up = self.map.scatter(
                     &self.gpu,
                     &self.unpack_stream,
                     self.user,
-                    &pieces,
+                    off,
+                    len,
                     tbuf.add(off),
                 );
                 self.lanes.unpack.comp_span("unpack", Some(idx), &up);
@@ -396,10 +398,9 @@ impl RecvSink for GpuRecvSink {
         self.unpack_stream.wait_event(ready);
         let comp = match self.contiguous {
             Some(cptr) => self.gpu.memcpy_async(cptr, src, total, &self.unpack_stream),
-            None => {
-                let pieces = self.map.pieces(0, total);
-                enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, src)
-            }
+            None => self
+                .map
+                .scatter(&self.gpu, &self.unpack_stream, self.user, 0, total, src),
         };
         self.lanes.unpack.comp_span("unpack", None, &comp);
         self.unpack = vec![Some(comp.clone())];
@@ -436,8 +437,15 @@ impl RecvSink for GpuRecvSink {
                     &self.h2d_stream,
                 );
                 self.unpack_stream.wait_event(&h2d);
-                let pieces = self.map.pieces(0, data.len());
-                enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, tbuf.ptr)
+                self.map
+                    .scatter(
+                        &self.gpu,
+                        &self.unpack_stream,
+                        self.user,
+                        0,
+                        data.len(),
+                        tbuf.ptr,
+                    )
                     .wait();
                 self.pool.put(tbuf);
             }

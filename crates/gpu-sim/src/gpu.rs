@@ -118,6 +118,50 @@ impl Copy2d {
     }
 }
 
+/// Copy `height` rows of `width` bytes from `src` (rows `spitch` apart) to
+/// `dst` (rows `dpitch` apart). Narrow power-of-two widths get fixed-width
+/// row copies, which compile to plain loads and stores instead of a
+/// `memcpy` call per row; packed rows on both sides are one bulk copy.
+fn copy_rows(
+    dst: &mut [u8],
+    dpitch: usize,
+    src: &[u8],
+    spitch: usize,
+    width: usize,
+    height: usize,
+) {
+    fn fixed<const W: usize>(
+        dst: &mut [u8],
+        dpitch: usize,
+        src: &[u8],
+        spitch: usize,
+        height: usize,
+    ) {
+        for r in 0..height {
+            let (d, s) = (r * dpitch, r * spitch);
+            dst[d..d + W].copy_from_slice(&src[s..s + W]);
+        }
+    }
+    if dpitch == width && spitch == width {
+        let n = width * height;
+        dst[..n].copy_from_slice(&src[..n]);
+        return;
+    }
+    match width {
+        1 => fixed::<1>(dst, dpitch, src, spitch, height),
+        2 => fixed::<2>(dst, dpitch, src, spitch, height),
+        4 => fixed::<4>(dst, dpitch, src, spitch, height),
+        8 => fixed::<8>(dst, dpitch, src, spitch, height),
+        16 => fixed::<16>(dst, dpitch, src, spitch, height),
+        _ => {
+            for r in 0..height {
+                let (d, s) = (r * dpitch, r * spitch);
+                dst[d..d + width].copy_from_slice(&src[s..s + width]);
+            }
+        }
+    }
+}
+
 const ENGINES: usize = 4;
 const ENG_H2D: usize = 0;
 const ENG_D2H: usize = 1;
@@ -155,6 +199,8 @@ struct Sched {
 struct GpuInner {
     id: u32,
     cost: CostModel,
+    /// The device arena. Lock order: a mover that also touches host
+    /// memory takes this lock first, then the host buffer's.
     mem: Mutex<DeviceMem>,
     sched: Mutex<Sched>,
     counters: CallCounters,
@@ -559,6 +605,13 @@ impl Gpu {
     // --- data plane ----------------------------------------------------------
 
     /// Move bytes for a 2-D copy right now (no virtual time involved).
+    ///
+    /// Rows go straight from the source slice to the destination slice
+    /// under one acquisition of the device arena's lock (taken before a
+    /// host buffer's, see `hostmem`'s lock order). Only a device-to-device
+    /// copy whose source and destination extents overlap goes through a
+    /// temporary, which keeps `cudaMemcpy2D`'s gather-then-scatter
+    /// semantics for it.
     fn do_copy2d_bytes(&self, p: &Copy2d) {
         p.validate();
         if p.width == 0 || p.height == 0 {
@@ -567,52 +620,71 @@ impl Gpu {
         // The declared ranges were checked when the op was registered; the
         // eager byte movement below must not re-trigger process-level checks.
         let _san = san::suppress();
-        let total = p.width * p.height;
-        let mut tmp = vec![0u8; total];
-        // Gather source rows into tmp.
-        match &p.src {
-            Loc::Host(hp) => {
-                let base = hp.offset();
-                hp.buf().with_slice(|s| {
-                    for r in 0..p.height {
-                        let off = base + r * p.spitch;
-                        tmp[r * p.width..(r + 1) * p.width].copy_from_slice(&s[off..off + p.width]);
-                    }
-                });
-            }
-            Loc::Device(dp) => {
+        let (width, height) = (p.width, p.height);
+        let src_ext = (height - 1) * p.spitch + width;
+        let dst_ext = (height - 1) * p.dpitch + width;
+        let rows = |dst: &mut [u8], src: &[u8]| {
+            copy_rows(
+                &mut dst[..dst_ext],
+                p.dpitch,
+                &src[..src_ext],
+                p.spitch,
+                width,
+                height,
+            )
+        };
+        match (&p.src, &p.dst) {
+            (Loc::Device(sp), Loc::Device(dp)) => {
+                self.check_owned(*sp);
+                let mut mem = self.inner.mem.lock();
+                mem.check_access(sp.offset, src_ext);
                 self.check_owned(*dp);
-                let mem = self.inner.mem.lock();
-                let extent = (p.height - 1) * p.spitch + p.width;
-                mem.check_access(dp.offset, extent);
-                for r in 0..p.height {
-                    let off = dp.offset + r * p.spitch;
-                    tmp[r * p.width..(r + 1) * p.width]
-                        .copy_from_slice(&mem.arena[off..off + p.width]);
+                mem.check_access(dp.offset, dst_ext);
+                let (s, d) = (sp.offset, dp.offset);
+                if s + src_ext <= d {
+                    let (lo, hi) = mem.arena.split_at_mut(d);
+                    rows(hi, &lo[s..]);
+                } else if d + dst_ext <= s {
+                    let (lo, hi) = mem.arena.split_at_mut(s);
+                    rows(&mut lo[d..], hi);
+                } else {
+                    let mut tmp = vec![0u8; width * height];
+                    copy_rows(
+                        &mut tmp,
+                        width,
+                        &mem.arena[s..s + src_ext],
+                        p.spitch,
+                        width,
+                        height,
+                    );
+                    copy_rows(
+                        &mut mem.arena[d..d + dst_ext],
+                        p.dpitch,
+                        &tmp,
+                        width,
+                        width,
+                        height,
+                    );
                 }
             }
-        }
-        // Scatter tmp into destination rows.
-        match &p.dst {
-            Loc::Host(hp) => {
-                let base = hp.offset();
-                hp.buf().with_slice(|s| {
-                    for r in 0..p.height {
-                        let off = base + r * p.dpitch;
-                        s[off..off + p.width].copy_from_slice(&tmp[r * p.width..(r + 1) * p.width]);
-                    }
-                });
-            }
-            Loc::Device(dp) => {
+            (Loc::Host(hp), Loc::Device(dp)) => {
                 self.check_owned(*dp);
                 let mut mem = self.inner.mem.lock();
-                let extent = (p.height - 1) * p.dpitch + p.width;
-                mem.check_access(dp.offset, extent);
-                for r in 0..p.height {
-                    let off = dp.offset + r * p.dpitch;
-                    mem.arena[off..off + p.width]
-                        .copy_from_slice(&tmp[r * p.width..(r + 1) * p.width]);
-                }
+                mem.check_access(dp.offset, dst_ext);
+                let (s, d) = (hp.offset(), dp.offset);
+                hp.buf()
+                    .with_slice(|host| rows(&mut mem.arena[d..], &host[s..]));
+            }
+            (Loc::Device(sp), Loc::Host(hp)) => {
+                self.check_owned(*sp);
+                let mem = self.inner.mem.lock();
+                mem.check_access(sp.offset, src_ext);
+                let (s, d) = (sp.offset, hp.offset());
+                hp.buf()
+                    .with_slice(|host| rows(&mut host[d..], &mem.arena[s..]));
+            }
+            (Loc::Host(_), Loc::Host(_)) => {
+                unreachable!("Copy2d::dir rejects host-to-host copies before any byte moves")
             }
         }
     }

@@ -370,4 +370,145 @@ mod tests {
             assert_eq!(b.read_bytes(pb, 16), vec![2u8; 16]);
         });
     }
+
+    /// Reference 2-D copy over plain vectors: gather every source row
+    /// first, then scatter (memmove semantics when the ranges overlap).
+    fn reference_2d(dst: &mut [u8], p: (usize, usize, usize, usize, usize, usize), src: &[u8]) {
+        let (d, dpitch, s, spitch, width, height) = p;
+        let rows: Vec<Vec<u8>> = (0..height)
+            .map(|r| src[s + r * spitch..s + r * spitch + width].to_vec())
+            .collect();
+        for (r, row) in rows.iter().enumerate() {
+            dst[d + r * dpitch..d + r * dpitch + width].copy_from_slice(row);
+        }
+    }
+
+    #[test]
+    fn row_mover_matches_reference_for_narrow_widths_and_host_endpoints() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let n = 1024;
+            let pattern: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
+            let a = gpu.malloc(n);
+            let b = gpu.malloc(n);
+            for width in 1..=17usize {
+                for extra in [0usize, 1, 3] {
+                    for height in [1usize, 3] {
+                        let pitch = width + extra;
+                        // Strided source packed into the destination, then
+                        // packed source scattered to strided rows.
+                        for (spitch, dpitch) in [(pitch, width), (width, pitch)] {
+                            let p = (5, dpitch, 2, spitch, width, height);
+                            let mut expect = vec![0u8; n];
+                            reference_2d(&mut expect, p, &pattern);
+                            let shape = |dst: Loc, src: Loc| Copy2d {
+                                dst,
+                                dpitch,
+                                src,
+                                spitch,
+                                width,
+                                height,
+                            };
+                            // D2D between two allocations.
+                            gpu.write_bytes(a, &pattern);
+                            gpu.write_bytes(b, &vec![0u8; n]);
+                            gpu.memcpy_2d(shape(Loc::Device(b.add(5)), Loc::Device(a.add(2))));
+                            assert_eq!(gpu.read_bytes(b, n), expect, "D2D {p:?}");
+                            // H2D.
+                            let host = HostBuf::from_vec(pattern.clone());
+                            gpu.write_bytes(b, &vec![0u8; n]);
+                            gpu.memcpy_2d(shape(Loc::Device(b.add(5)), Loc::Host(host.ptr(2))));
+                            assert_eq!(gpu.read_bytes(b, n), expect, "H2D {p:?}");
+                            // D2H.
+                            let out = HostBuf::alloc(n);
+                            gpu.memcpy_2d(shape(Loc::Host(out.ptr(5)), Loc::Device(a.add(2))));
+                            assert_eq!(out.read(0, n), expect, "D2H {p:?}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn overlapping_d2d_copies_keep_memmove_semantics() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let n = 256;
+            let pattern: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let a = gpu.malloc(n);
+            // Strided rows packed onto themselves (dst inside src extent),
+            // packed rows spread over themselves, and a 1-D shifted copy.
+            for p in [
+                (2, 4, 0, 8, 4, 8),
+                (0, 8, 3, 4, 4, 8),
+                (3, 40, 0, 40, 40, 1),
+                (0, 40, 3, 40, 40, 1),
+            ] {
+                let (d, dpitch, s, spitch, width, height) = p;
+                let mut expect = pattern.clone();
+                reference_2d(&mut expect, p, &pattern);
+                gpu.write_bytes(a, &pattern);
+                gpu.memcpy_2d(Copy2d {
+                    dst: Loc::Device(a.add(d)),
+                    dpitch,
+                    src: Loc::Device(a.add(s)),
+                    spitch,
+                    width,
+                    height,
+                });
+                assert_eq!(gpu.read_bytes(a, n), expect, "{p:?}");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any live allocation")]
+    fn strided_d2d_past_allocation_panics() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let src = gpu.malloc(256);
+            let dst = gpu.malloc(256);
+            // The last row of the source ends past its 256-byte allocation.
+            gpu.memcpy_2d(Copy2d {
+                dst: Loc::Device(dst),
+                dpitch: 4,
+                src: Loc::Device(src),
+                spitch: 64,
+                width: 4,
+                height: 5,
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to gpu")]
+    fn d2d_to_a_foreign_gpu_is_rejected() {
+        in_sim(|| {
+            let a = Gpu::tesla_c2050(0);
+            let b = Gpu::tesla_c2050(1);
+            let pa = a.malloc(64);
+            let pb = b.malloc(64);
+            a.memcpy_2d(Copy2d {
+                dst: Loc::Device(pb),
+                dpitch: 4,
+                src: Loc::Device(pa),
+                spitch: 8,
+                width: 4,
+                height: 4,
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to gpu")]
+    fn d2h_from_a_foreign_gpu_is_rejected() {
+        in_sim(|| {
+            let a = Gpu::tesla_c2050(0);
+            let b = Gpu::tesla_c2050(1);
+            let pb = b.malloc(64);
+            let h = HostBuf::alloc(64);
+            a.memcpy(h.base(), pb, 64);
+        });
+    }
 }

@@ -10,6 +10,16 @@
 //! Buffers carry a process-global unique id used as a registration key by
 //! the verbs layer, and a *pinned* flag mirroring page-locked host memory:
 //! RDMA requires registration, and registration pins.
+//!
+//! # Lock order
+//!
+//! Each buffer's bytes sit behind one lock. Movers that copy between two
+//! buffers without an intermediate vector hold two of them, always the
+//! **destination's before the source's**: [`HostBuf::copy`] between
+//! distinct buffers, and [`HostPtr::write_with`] when its closure reads
+//! another buffer (a CPU packer filling a staging buffer). A mover never
+//! holds a buffer's lock while taking it again. Device movers in `gpu-sim`
+//! take the device arena's lock before any host buffer's.
 
 #![warn(missing_docs)]
 
@@ -277,11 +287,13 @@ impl HostBuf {
     }
 
     /// Byte-for-byte copy between host buffers (may be the same buffer as
-    /// long as the ranges do not overlap).
+    /// long as the ranges do not overlap). Distinct buffers are copied
+    /// slice to slice under both locks, destination first (see the lock
+    /// order in the crate docs), with no intermediate vector.
     pub fn copy(src: &HostPtr, dst: &HostPtr, len: usize) {
+        let (s, d, l) = (src.offset, dst.offset, len);
         if Arc::ptr_eq(&src.buf.inner, &dst.buf.inner) {
             let mut data = src.buf.inner.data.lock();
-            let (s, d, l) = (src.offset, dst.offset, len);
             assert!(
                 s + l <= data.len && d + l <= data.len,
                 "HostBuf::copy: out of bounds"
@@ -291,9 +303,22 @@ impl HostBuf {
                 "HostBuf::copy: overlapping ranges within one buffer"
             );
             data.materialize().copy_within(s..s + l, d);
-        } else {
-            let tmp = src.buf.read(src.offset, len);
-            dst.buf.write(dst.offset, &tmp);
+            return;
+        }
+        sim_core::san::on_host_access(src.buf.inner.id, s, l, false);
+        sim_core::san::on_host_access(dst.buf.inner.id, d, l, true);
+        let mut to = dst.buf.inner.data.lock();
+        let from = src.buf.inner.data.lock();
+        assert!(
+            s + l <= from.len && d + l <= to.len,
+            "HostBuf::copy: range out of bounds ({l} bytes from {s} of {} into {d} of {})",
+            from.len,
+            to.len
+        );
+        let out = &mut to.materialize()[d..d + l];
+        match &from.vec {
+            Some(v) => out.copy_from_slice(&v[s..s + l]),
+            None => out.fill(0),
         }
     }
 }
@@ -340,6 +365,24 @@ impl HostPtr {
     /// Write `src` at this address.
     pub fn write(&self, src: &[u8]) {
         self.buf.write(self.offset, src)
+    }
+
+    /// Fill the `len` bytes at this address in place: `f` gets them as one
+    /// writable slice under the buffer's lock, so a producer (a packer
+    /// filling a staging buffer) needs no intermediate vector. Reported to
+    /// the sanitizer as a write of exactly that range. `f` may read other
+    /// buffers (their locks nest inside this one, see the crate docs) but
+    /// must not touch this one.
+    pub fn write_with<R>(&self, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let off = self.offset;
+        sim_core::san::on_host_access(self.buf.inner.id, off, len, true);
+        let mut data = self.buf.inner.data.lock();
+        assert!(
+            off + len <= data.len,
+            "HostPtr::write_with: range {off}..+{len} out of bounds (len {})",
+            data.len
+        );
+        f(&mut data.materialize()[off..off + len])
     }
 }
 

@@ -1332,13 +1332,9 @@ impl Nic {
                 start: dst_offset,
                 len,
             }];
-            let data = {
-                let _san = san::suppress();
-                src.read(len)
-            };
             let op = self.san_begin("rdma_write", false, reads, writes);
             let _san = san::suppress();
-            mr_buf.write(dst_offset, &data);
+            HostBuf::copy(src, &mr_buf.ptr(dst_offset), len);
             op
         };
         let (start, _, arrival) = self.tx_schedule("rdma", len, SimDur::ZERO, op);
@@ -1522,13 +1518,9 @@ impl Nic {
                 start: dst_offset,
                 len,
             }];
-            let data = {
-                let _san = san::suppress();
-                src.read(len)
-            };
             let op = self.san_begin("shm_write", true, reads, writes);
             let _san = san::suppress();
-            mr_buf.write(dst_offset, &data);
+            HostBuf::copy(src, &mr_buf.ptr(dst_offset), len);
             op
         };
         let (start, _, visible) = self.shm_schedule("copy", len, op);

@@ -3,8 +3,8 @@
 //! A datatype describes a *typemap*: a set of (byte offset, primitive) pairs.
 //! We never materialize typemaps at the primitive level; instead each
 //! constructor computes the derived quantities recursively and
-//! [`commit`](Datatype::commit) flattens the byte layout (see
-//! [`crate::flat`]).
+//! [`commit`](Datatype::commit) canonicalizes the byte layout into a stride
+//! program (see [`crate::flat`] and [`crate::program`]).
 //!
 //! Supported constructors — the full set used by real applications:
 //! primitives, `contiguous`, `vector`, `hvector`, `indexed`, `hindexed`,
@@ -142,6 +142,13 @@ fn bounds_over<I: Iterator<Item = (usize, isize)>>(
     out
 }
 
+/// The first and last of `count` equally spaced blocks (none for zero):
+/// block displacements are linear in the index, so these two carry the
+/// extreme bounds and constructors stay O(1) in the count.
+fn end_blocks(count: usize) -> impl Iterator<Item = usize> {
+    count.checked_sub(1).into_iter().flat_map(|last| [0, last])
+}
+
 impl Datatype {
     // --- primitives ---------------------------------------------------------
 
@@ -203,7 +210,7 @@ impl Datatype {
         let ext = child.extent();
         let (lb, ub) = bounds_over(
             child,
-            (0..count).map(|i| (blocklen, i as isize * stride * ext)),
+            end_blocks(count).map(|i| (blocklen, i as isize * stride * ext)),
         )
         .unwrap_or((0, 0));
         new_dt(
@@ -229,7 +236,7 @@ impl Datatype {
     ) -> Datatype {
         let (lb, ub) = bounds_over(
             child,
-            (0..count).map(|i| (blocklen, i as isize * stride_bytes)),
+            end_blocks(count).map(|i| (blocklen, i as isize * stride_bytes)),
         )
         .unwrap_or((0, 0));
         new_dt(
@@ -432,8 +439,9 @@ impl Datatype {
         }
     }
 
-    /// `MPI_Type_commit`: flatten the layout. Communication operations
-    /// require a committed type. Commit is idempotent.
+    /// `MPI_Type_commit`: canonicalize the layout into a stride program.
+    /// Communication operations require a committed type. Commit is
+    /// idempotent.
     pub fn commit(&self) -> &Datatype {
         let mut c = self.inner.committed.lock();
         if c.is_none() {
@@ -463,8 +471,8 @@ impl Datatype {
         c.unpack_from(data);
     }
 
-    /// The cached communication plan for `count` elements (expanded
-    /// segments, prefix sums, layout). Requires a committed type.
+    /// The cached communication plan for `count` elements (stride program,
+    /// prefix sums, layout). Requires a committed type.
     pub fn plan(&self, count: usize) -> Arc<crate::plan::Plan> {
         self.flat().plan(count)
     }
@@ -474,7 +482,7 @@ impl Datatype {
         self.flat().plan_cache_stats()
     }
 
-    /// The committed flattened layout. Panics if not committed.
+    /// The committed layout. Panics if not committed.
     pub fn flat(&self) -> Arc<FlatType> {
         self.inner
             .committed
@@ -512,6 +520,11 @@ mod tests {
         assert_eq!(t.lb(), 0);
         assert_eq!(t.ub(), 40);
         assert_eq!(t.extent(), 40);
+        // Backwards blocks: the bounds come from the last block.
+        let t = Datatype::vector(4, 1, -2, &Datatype::float());
+        assert_eq!((t.lb(), t.ub()), (-24, 4));
+        let t = Datatype::hvector(1, 2, -100, &Datatype::float());
+        assert_eq!((t.lb(), t.ub()), (0, 8));
     }
 
     #[test]
@@ -616,7 +629,7 @@ mod tests {
         assert_eq!(a.ub(), b.ub());
         a.commit();
         b.commit();
-        assert_eq!(a.flat().segments(), b.flat().segments());
+        assert_eq!(a.flat().program(), b.flat().program());
     }
 
     #[test]

@@ -1,25 +1,32 @@
-//! Flattened datatype layouts.
+//! Committed datatype layouts.
 //!
-//! `MPI_Type_commit` turns the datatype tree into a normalized list of
-//! `(offset, len)` byte segments in *typemap order* (which is pack order),
-//! merging segments that are adjacent both in traversal order and in
-//! memory. On top of the segment list, [`FlatType::layout`] classifies the
-//! pattern:
+//! `MPI_Type_commit` canonicalizes the datatype tree into a stride
+//! [`Program`] (see [`crate::program`]): nested `(count, stride)` blocks
+//! whose runs are the typemap's byte segments in pack order, with runs
+//! adjacent in memory merged. On top of a `(type, count)` program,
+//! [`crate::plan::Plan`] classifies the pattern:
 //!
-//! * [`Layout::Contiguous`] — one segment: the fast path everywhere.
-//! * [`Layout::Strided2D`] — equal-length segments at a constant pitch:
-//!   exactly the patterns a single `cudaMemcpy2D` can pack/unpack. This
-//!   classification is the hook the paper's GPU datatype offload relies on
-//!   (a vector of N rows becomes one strided device copy instead of N
-//!   separate transactions).
-//! * [`Layout::Irregular`] — everything else (indexed/struct soups): packed
-//!   segment-by-segment (on the CPU) or with a gather kernel (on the GPU).
+//! * [`Layout::Contiguous`] — one run: the fast path everywhere.
+//! * [`Layout::Strided2D`] — equal-length runs at a constant pitch wider
+//!   than a run: exactly the patterns a single `cudaMemcpy2D` can
+//!   pack/unpack. This classification is the hook the paper's GPU datatype
+//!   offload relies on (a vector of N rows becomes one strided device copy
+//!   instead of N separate transactions).
+//! * [`Layout::Irregular`] — everything else (indexed/struct soups,
+//!   overlapping rows): packed run-by-run (on the CPU) or with a gather
+//!   kernel (on the GPU).
+//!
+//! [`FlatType::expanded`] and [`FlatType::classify`] keep the reference
+//! semantics — a walk of the tree that materializes every segment — as the
+//! oracle the stride programs are tested against; no communication path
+//! calls them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crate::datatype::{Datatype, DtKind};
+use crate::datatype::{Datatype, DtInner, DtKind};
 use crate::plan::{Plan, PlanCache, PlanCacheStats};
+use crate::program::Program;
 
 /// One contiguous run of bytes at a (possibly negative) offset from the
 /// buffer address.
@@ -45,7 +52,8 @@ pub enum Layout {
     Strided2D {
         /// Offset of the first run.
         first: isize,
-        /// Bytes between run starts (> width, or it would be contiguous).
+        /// Bytes between run starts (> width: equal would be contiguous,
+        /// smaller would overlap).
         pitch: usize,
         /// Run width in bytes.
         width: usize,
@@ -56,15 +64,72 @@ pub enum Layout {
     Irregular,
 }
 
-/// The committed (flattened) form of a datatype: one element's segments,
-/// plus an LRU cache of per-count communication [`Plan`]s.
+/// The committed form of a datatype: one element's stride program, plus
+/// an LRU cache of per-count communication [`Plan`]s.
 #[derive(Debug)]
 pub struct FlatType {
-    segments: Vec<Segment>,
+    program: Arc<Program>,
+    /// The datatype this was committed from, for the reference expansion.
+    tree: Weak<DtInner>,
     size: usize,
     extent: isize,
+    /// `(lo, hi)` byte span of one element's runs.
+    span: (isize, isize),
     plans: PlanCache,
-    expand_calls: AtomicU64,
+    builds: AtomicU64,
+}
+
+/// The stride program of one element of `dt`, built bottom-up in time
+/// proportional to the tree (plus the runs of truly irregular parts).
+fn program(dt: &Datatype) -> Program {
+    match &dt.inner.kind {
+        DtKind::Primitive { .. } => Program::seg(0, dt.size()),
+        DtKind::Contiguous { count, child } => program(child).replicate(*count, child.extent()),
+        DtKind::Vector {
+            count,
+            blocklen,
+            stride,
+            child,
+        } => {
+            let cext = child.extent();
+            program(child)
+                .replicate(*blocklen, cext)
+                .replicate(*count, stride * cext)
+        }
+        DtKind::Hvector {
+            count,
+            blocklen,
+            stride_bytes,
+            child,
+        } => program(child)
+            .replicate(*blocklen, child.extent())
+            .replicate(*count, *stride_bytes),
+        DtKind::Indexed { blocks, child } => {
+            let cext = child.extent();
+            let elem = program(child);
+            let mut out = Program::default();
+            for &(blocklen, disp) in blocks {
+                out.append(&elem.replicate(blocklen, cext), disp * cext);
+            }
+            out
+        }
+        DtKind::Hindexed { blocks, child } => {
+            let elem = program(child);
+            let mut out = Program::default();
+            for &(blocklen, disp) in blocks {
+                out.append(&elem.replicate(blocklen, child.extent()), disp);
+            }
+            out
+        }
+        DtKind::Struct { fields } => {
+            let mut out = Program::default();
+            for (blocklen, disp, child) in fields {
+                out.append(&program(child).replicate(*blocklen, child.extent()), *disp);
+            }
+            out
+        }
+        DtKind::Resized { child, .. } => program(child),
+    }
 }
 
 fn push_merged(out: &mut Vec<Segment>, seg: Segment) {
@@ -80,8 +145,14 @@ fn push_merged(out: &mut Vec<Segment>, seg: Segment) {
     out.push(seg);
 }
 
+/// Reference typemap walk: every primitive's bytes in pack order, merged
+/// with the previous run when adjacent.
 fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
-    let ext = dt.extent();
+    let mut run = |child: &Datatype, block: isize, blocklen: usize| {
+        for j in 0..blocklen {
+            walk(child, block + j as isize * child.extent(), out);
+        }
+    };
     match &dt.inner.kind {
         DtKind::Primitive { .. } => push_merged(
             out,
@@ -90,24 +161,19 @@ fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
                 len: dt.size(),
             },
         ),
-        DtKind::Contiguous { count, child } => {
-            let cext = child.extent();
-            for i in 0..*count {
-                walk(child, base + i as isize * cext, out);
-            }
-        }
+        DtKind::Contiguous { count, child } => run(child, base, *count),
         DtKind::Vector {
             count,
             blocklen,
             stride,
             child,
         } => {
-            let cext = child.extent();
             for i in 0..*count {
-                let block = base + i as isize * stride * cext;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
+                run(
+                    child,
+                    base + i as isize * stride * child.extent(),
+                    *blocklen,
+                );
             }
         }
         DtKind::Hvector {
@@ -116,63 +182,52 @@ fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
             stride_bytes,
             child,
         } => {
-            let cext = child.extent();
             for i in 0..*count {
-                let block = base + i as isize * stride_bytes;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
+                run(child, base + i as isize * stride_bytes, *blocklen);
             }
         }
         DtKind::Indexed { blocks, child } => {
-            let cext = child.extent();
             for &(blocklen, disp) in blocks {
-                let block = base + disp * cext;
-                for j in 0..blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
+                run(child, base + disp * child.extent(), blocklen);
             }
         }
         DtKind::Hindexed { blocks, child } => {
-            let cext = child.extent();
             for &(blocklen, disp) in blocks {
-                let block = base + disp;
-                for j in 0..blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
+                run(child, base + disp, blocklen);
             }
         }
         DtKind::Struct { fields } => {
             for (blocklen, disp, child) in fields {
-                let cext = child.extent();
-                let block = base + disp;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
+                run(child, base + disp, *blocklen);
             }
         }
         DtKind::Resized { child, .. } => walk(child, base, out),
     }
-    let _ = ext;
 }
 
 impl FlatType {
-    /// Flatten one element of `dt`.
+    /// Canonicalize one element of `dt` into its stride program.
     pub fn build(dt: &Datatype) -> FlatType {
-        let mut segments = Vec::new();
-        walk(dt, 0, &mut segments);
+        let program = program(dt);
+        let span = program.span().unwrap_or((0, 0));
         FlatType {
-            segments,
+            program: Arc::new(program),
+            tree: Arc::downgrade(&dt.inner),
             size: dt.size(),
             extent: dt.extent(),
+            span,
             plans: PlanCache::default(),
-            expand_calls: AtomicU64::new(0),
+            builds: AtomicU64::new(0),
         }
     }
 
-    /// One element's segments, in pack order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// One element's stride program.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    pub(crate) fn shared_program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// Data bytes per element.
@@ -190,19 +245,23 @@ impl FlatType {
         self.size * count
     }
 
-    /// Segments for `count` elements (element `i` shifted by `i * extent`),
-    /// merged across element boundaries where contiguous.
-    ///
-    /// This is the expensive expansion [`FlatType::plan`] memoizes; the
-    /// communication paths go through the cache and only reach here on a
-    /// cache miss (counted — see [`FlatType::expand_count`]).
+    /// Reference expansion: the merged segments of `count` elements
+    /// (element `i` shifted by `i * extent`), from a walk of the type tree
+    /// that materializes every segment. This is the test oracle for stride
+    /// programs; communication paths read [`FlatType::plan`] instead.
+    /// Panics if the datatype has been dropped.
     pub fn expanded(&self, count: usize) -> Vec<Segment> {
-        self.expand_calls.fetch_add(1, Ordering::Relaxed);
         sim_core::instrument::global().record("flat_expand");
-        let mut out = Vec::with_capacity(self.segments.len() * count);
+        let inner = self
+            .tree
+            .upgrade()
+            .expect("reference expansion needs the live datatype");
+        let mut elem = Vec::new();
+        walk(&Datatype { inner }, 0, &mut elem);
+        let mut out = Vec::with_capacity(elem.len() * count);
         for i in 0..count {
             let shift = i as isize * self.extent;
-            for s in &self.segments {
+            for s in &elem {
                 push_merged(
                     &mut out,
                     Segment {
@@ -220,11 +279,14 @@ impl FlatType {
         self.plan(count).layout().clone()
     }
 
-    /// The cached communication plan for `count` elements: expanded
-    /// segments, prefix sums and layout classification, built at most once
-    /// per cached count and shared via `Arc`.
+    /// The cached communication plan for `count` elements: the replicated
+    /// stride program with its prefix sums and classifications, built at
+    /// most once per cached count and shared via `Arc`.
     pub fn plan(&self, count: usize) -> Arc<Plan> {
-        self.plans.get_or_build(count, || Plan::build(self, count))
+        self.plans.get_or_build(count, || {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Plan::build(self, count)
+        })
     }
 
     /// This type's plan-cache counters.
@@ -232,13 +294,15 @@ impl FlatType {
         self.plans.stats()
     }
 
-    /// How many times [`FlatType::expanded`] ran (i.e. how often a plan was
-    /// actually built rather than served from cache).
+    /// How many plans this type has built (plan-cache misses): the
+    /// per-message datatype processing the cache keeps off the steady
+    /// state.
     pub fn expand_count(&self) -> u64 {
-        self.expand_calls.load(Ordering::Relaxed)
+        self.builds.load(Ordering::Relaxed)
     }
 
-    /// Classify an explicit segment list.
+    /// Reference classification of an explicit segment list (the oracle
+    /// for [`Plan::layout`]).
     pub fn classify(segs: &[Segment]) -> Layout {
         match segs {
             [] => Layout::Contiguous { offset: 0, len: 0 },
@@ -248,7 +312,7 @@ impl FlatType {
             },
             [first, second, rest @ ..] => {
                 let width = first.len;
-                if second.len != width || second.offset <= first.offset {
+                if second.len != width || second.offset - first.offset <= width as isize {
                     return Layout::Irregular;
                 }
                 let pitch = (second.offset - first.offset) as usize;
@@ -276,16 +340,9 @@ impl FlatType {
         if self.size == 0 || count == 0 {
             return (0, 0);
         }
-        let mut lo = isize::MAX;
-        let mut hi = isize::MIN;
-        for s in &self.segments {
-            lo = lo.min(s.offset);
-            hi = hi.max(s.offset + s.len as isize);
-        }
+        let (lo, hi) = self.span;
         let last_shift = (count as isize - 1) * self.extent;
-        let (lo0, hi0) = (lo, hi);
-        let (lo1, hi1) = (lo + last_shift, hi + last_shift);
-        (lo0.min(lo1), hi0.max(hi1))
+        (lo.min(lo + last_shift), hi.max(hi + last_shift))
     }
 }
 
@@ -298,25 +355,30 @@ mod tests {
         FlatType::build(dt)
     }
 
+    /// The runs of one element's program.
+    fn segs(f: &FlatType) -> Vec<Segment> {
+        f.program().segments().collect()
+    }
+
     #[test]
     fn primitive_is_one_segment() {
         let f = flat(&Datatype::float());
-        assert_eq!(f.segments(), &[Segment { offset: 0, len: 4 }]);
+        assert_eq!(segs(&f), &[Segment { offset: 0, len: 4 }]);
         assert_eq!(f.layout(1), Layout::Contiguous { offset: 0, len: 4 });
     }
 
     #[test]
     fn contiguous_merges_into_one_run() {
         let f = flat(&Datatype::contiguous(16, &Datatype::double()));
-        assert_eq!(f.segments().len(), 1);
-        assert_eq!(f.segments()[0].len, 128);
+        assert_eq!(segs(&f).len(), 1);
+        assert_eq!(segs(&f)[0].len, 128);
     }
 
     #[test]
     fn vector_flattens_to_strided_runs() {
         // 4 blocks of 1 float, stride 3 floats.
         let f = flat(&Datatype::vector(4, 1, 3, &Datatype::float()));
-        assert_eq!(f.segments().len(), 4);
+        assert_eq!(segs(&f).len(), 4);
         assert_eq!(
             f.layout(1),
             Layout::Strided2D {
@@ -332,15 +394,15 @@ mod tests {
     fn vector_blocks_merge_within_block() {
         // blocklen 2 floats per block -> 8-byte runs.
         let f = flat(&Datatype::vector(3, 2, 5, &Datatype::float()));
-        assert_eq!(f.segments().len(), 3);
-        assert!(f.segments().iter().all(|s| s.len == 8));
+        assert_eq!(segs(&f).len(), 3);
+        assert!(segs(&f).iter().all(|s| s.len == 8));
     }
 
     #[test]
     fn dense_vector_is_contiguous() {
         // stride == blocklen: no holes.
         let f = flat(&Datatype::vector(4, 2, 2, &Datatype::int()));
-        assert_eq!(f.segments().len(), 1);
+        assert_eq!(segs(&f).len(), 1);
         assert_eq!(f.layout(1), Layout::Contiguous { offset: 0, len: 32 });
     }
 
@@ -372,10 +434,18 @@ mod tests {
 
     #[test]
     fn count_replication_merges_when_contiguous() {
-        let f = flat(&Datatype::contiguous(4, &Datatype::float()));
+        let dt = Datatype::contiguous(4, &Datatype::float());
+        let f = flat(&dt);
         let segs = f.expanded(8);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].len, 128);
+        assert_eq!(
+            f.layout(8),
+            Layout::Contiguous {
+                offset: 0,
+                len: 128
+            }
+        );
     }
 
     #[test]
@@ -414,7 +484,7 @@ mod tests {
         let f = flat(&t);
         // Pack order follows the typemap (field order), not address order.
         assert_eq!(
-            f.segments(),
+            segs(&f),
             &[
                 Segment { offset: 16, len: 8 },
                 Segment { offset: 0, len: 8 },
@@ -459,7 +529,7 @@ mod tests {
     fn negative_offsets_survive_flattening() {
         let t = Datatype::hindexed(&[(1, -8), (1, 4)], &Datatype::int());
         let f = flat(&t);
-        assert_eq!(f.segments()[0].offset, -8);
+        assert_eq!(segs(&f)[0].offset, -8);
         assert_eq!(f.byte_range(1).0, -8);
     }
 
@@ -477,9 +547,18 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_rows_are_not_strided() {
+        // Blocks of 8 bytes every 4: a legal send type whose rows overlap.
+        let t = Datatype::hvector(3, 2, 4, &Datatype::float());
+        t.commit();
+        assert_eq!(t.flat().layout(1), Layout::Irregular);
+        assert_eq!(FlatType::classify(&t.flat().expanded(1)), Layout::Irregular);
+    }
+
+    #[test]
     fn empty_type_flattens_to_nothing() {
         let f = flat(&Datatype::vector(0, 1, 1, &Datatype::float()));
-        assert!(f.segments().is_empty());
+        assert!(segs(&f).is_empty());
         assert_eq!(f.layout(5), Layout::Contiguous { offset: 0, len: 0 });
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * the full **derived datatype engine** (contiguous, vector, hvector,
 //!   indexed, hindexed, struct, subarray, resized) with MPI 2.2
-//!   size/extent rules, plus flattening that recognizes `cudaMemcpy2D`-able
-//!   strided layouts ([`flat::Layout::Strided2D`]);
+//!   size/extent rules, committed into stride programs ([`program::Program`])
+//!   that recognize `cudaMemcpy2D`-able layouts ([`flat::Layout::Strided2D`]);
 //! * **point-to-point** with tag/source matching (wildcards, non-overtaking
 //!   order, unexpected-message queue), blocking and nonblocking calls;
 //! * four data protocols: **eager**, **rendezvous direct** (R-PUT over
@@ -47,6 +47,7 @@ pub mod flat;
 pub mod invariants;
 pub mod pack;
 pub mod plan;
+pub mod program;
 mod proto;
 pub mod scheme;
 pub mod staging;
@@ -61,6 +62,7 @@ pub use engine::{RecvStatus, Request, SrcSel, TagSel, ANY_SOURCE, ANY_TAG};
 pub use ib_sim::{FaultSpec, Topology};
 pub use pack::CpuModel;
 pub use plan::{Canonical, Plan, PlanCacheStats, WireDescriptor, WireEntry};
+pub use program::{Block, Program};
 pub use proto::{
     packet_kind, ChunkPolicy, CollAlgo, CollConfig, ConfigError, MpiConfig, MpiError, RetryConfig,
 };

@@ -1,27 +1,26 @@
 //! CPU pack/unpack engine for host buffers.
 //!
-//! [`PackCursor`]/[`UnpackCursor`] stream a flattened datatype's bytes
+//! [`PackCursor`]/[`UnpackCursor`] stream a committed datatype's bytes
 //! to/from a contiguous representation in chunk-sized pieces — O(total)
 //! overall even when a message is packed in many chunks, which matters for
-//! the pipelined rendezvous path. Cursors run over a shared [`Plan`]
-//! (usually a plan-cache hit, so creating one allocates nothing), and
-//! `Strided2D` plans are coalesced into pitched bulk copies instead of
-//! per-segment dispatch.
+//! the pipelined rendezvous path. Cursors walk a shared [`Plan`]'s stride
+//! program (usually a plan-cache hit, so creating one allocates nothing),
+//! and whole rows of a `Strided2D` plan are moved by one pitched bulk copy
+//! instead of per-run dispatch.
 
 use std::sync::Arc;
 
 use hostmem::HostPtr;
 
 use crate::flat::{Layout, Segment};
-use crate::plan::Plan;
+use crate::plan::{Plan, Walker};
 
 /// Streaming packer: reads a non-contiguous layout (`plan` relative to
 /// `base`) and produces the packed byte stream incrementally.
 pub struct PackCursor {
     base: HostPtr,
     plan: Arc<Plan>,
-    seg_idx: usize,
-    seg_off: usize,
+    walker: Walker,
     produced: usize,
 }
 
@@ -30,39 +29,37 @@ pub struct PackCursor {
 pub struct UnpackCursor {
     base: HostPtr,
     plan: Arc<Plan>,
-    seg_idx: usize,
-    seg_off: usize,
+    walker: Walker,
     consumed: usize,
 }
 
-/// Whole rows of a strided plan remaining at `seg_idx` that fit in `room`
-/// bytes; the cursors hand those to one pitched copy when there are at
-/// least two (a lone row gains nothing over the generic path).
-fn strided_run(
-    plan: &Plan,
-    seg_idx: usize,
-    seg_off: usize,
-    room: usize,
-) -> Option<(usize, usize, usize)> {
-    if seg_off != 0 {
-        return None;
-    }
-    if let Layout::Strided2D { pitch, width, .. } = *plan.layout() {
-        let rows = (room / width).min(plan.num_segments() - seg_idx);
-        if rows >= 2 {
-            return Some((pitch, width, rows));
+/// Whole rows of a strided plan from packed offset `at` that fit in `room`
+/// bytes, as `(first row offset, pitch, width, rows)`; the cursors hand
+/// those to one pitched copy when there are at least two (a lone row gains
+/// nothing over the generic path).
+fn strided_run(plan: &Plan, at: usize, room: usize) -> Option<(isize, usize, usize, usize)> {
+    if let Layout::Strided2D {
+        first,
+        pitch,
+        width,
+        height,
+    } = *plan.layout()
+    {
+        let row = at / width;
+        let rows = (room / width).min(height - row);
+        if at.is_multiple_of(width) && rows >= 2 {
+            return Some((first + (row * pitch) as isize, pitch, width, rows));
         }
     }
     None
 }
 
-fn abs_offset(base: &HostPtr, seg: &Segment, within: usize) -> usize {
-    let off = base.offset() as isize + seg.offset + within as isize;
+fn abs_offset(base: &HostPtr, rel: isize) -> usize {
+    let off = base.offset() as isize + rel;
     assert!(
         off >= 0,
-        "datatype segment at negative absolute offset {off} (buffer offset {}, segment {})",
+        "datatype segment at negative absolute offset {off} (buffer offset {}, segment {rel})",
         base.offset(),
-        seg.offset
     );
     off as usize
 }
@@ -78,8 +75,7 @@ impl PackCursor {
         PackCursor {
             base,
             plan,
-            seg_idx: 0,
-            seg_off: 0,
+            walker: Walker::default(),
             produced: 0,
         }
     }
@@ -89,55 +85,40 @@ impl PackCursor {
         self.produced
     }
 
-    /// True when every segment has been packed.
+    /// True when every run has been packed.
     pub fn finished(&self) -> bool {
-        self.seg_idx >= self.plan.num_segments()
+        self.produced == self.plan.total()
     }
 
     /// Pack the next `out.len()` bytes of the stream into `out`. Panics if
     /// fewer bytes remain.
     pub fn pack_into(&mut self, out: &mut [u8]) {
+        let buf = self.base.buf();
         let mut pos = 0;
         while pos < out.len() {
-            if let Some((pitch, width, rows)) =
-                strided_run(&self.plan, self.seg_idx, self.seg_off, out.len() - pos)
+            let room = out.len() - pos;
+            if let Some((off, pitch, width, rows)) =
+                strided_run(&self.plan, self.produced + pos, room)
             {
-                let seg = self.plan.segments()[self.seg_idx];
-                let src = abs_offset(&self.base, &seg, 0);
-                self.base.buf().read_strided(
-                    src,
-                    pitch,
-                    width,
-                    rows,
-                    &mut out[pos..pos + rows * width],
-                );
+                let src = abs_offset(&self.base, off);
+                buf.read_strided(src, pitch, width, rows, &mut out[pos..pos + rows * width]);
                 pos += rows * width;
-                self.seg_idx += rows;
+                self.walker = self.plan.walker(self.produced + pos);
                 continue;
             }
-            let seg = *self
+            let (off, take) = self
                 .plan
-                .segments()
-                .get(self.seg_idx)
+                .next_piece(&mut self.walker, room)
                 .expect("PackCursor: packed past the end of the datatype");
-            let avail = seg.len - self.seg_off;
-            let take = avail.min(out.len() - pos);
-            let src = abs_offset(&self.base, &seg, self.seg_off);
-            self.base.buf().read_into(src, &mut out[pos..pos + take]);
+            buf.read_into(abs_offset(&self.base, off), &mut out[pos..pos + take]);
             pos += take;
-            self.seg_off += take;
-            if self.seg_off == seg.len {
-                self.seg_idx += 1;
-                self.seg_off = 0;
-            }
         }
         self.produced += out.len();
     }
 
     /// Pack the entire remaining stream.
     pub fn pack_all(&mut self) -> Vec<u8> {
-        let remaining = self.plan.total() - self.plan.packed_offset(self.seg_idx) - self.seg_off;
-        let mut out = vec![0u8; remaining];
+        let mut out = vec![0u8; self.plan.total() - self.produced];
         self.pack_into(&mut out);
         out
     }
@@ -154,8 +135,7 @@ impl UnpackCursor {
         UnpackCursor {
             base,
             plan,
-            seg_idx: 0,
-            seg_off: 0,
+            walker: Walker::default(),
             consumed: 0,
         }
     }
@@ -165,47 +145,33 @@ impl UnpackCursor {
         self.consumed
     }
 
-    /// True when every segment has been filled.
+    /// True when every run has been filled.
     pub fn finished(&self) -> bool {
-        self.seg_idx >= self.plan.num_segments()
+        self.consumed == self.plan.total()
     }
 
     /// Scatter the next `data.len()` bytes of the packed stream. Panics if
     /// that exceeds the layout's remaining capacity.
     pub fn unpack_from(&mut self, data: &[u8]) {
+        let buf = self.base.buf();
         let mut pos = 0;
         while pos < data.len() {
-            if let Some((pitch, width, rows)) =
-                strided_run(&self.plan, self.seg_idx, self.seg_off, data.len() - pos)
+            let room = data.len() - pos;
+            if let Some((off, pitch, width, rows)) =
+                strided_run(&self.plan, self.consumed + pos, room)
             {
-                let seg = self.plan.segments()[self.seg_idx];
-                let dst = abs_offset(&self.base, &seg, 0);
-                self.base.buf().write_strided(
-                    dst,
-                    pitch,
-                    width,
-                    rows,
-                    &data[pos..pos + rows * width],
-                );
+                let dst = abs_offset(&self.base, off);
+                buf.write_strided(dst, pitch, width, rows, &data[pos..pos + rows * width]);
                 pos += rows * width;
-                self.seg_idx += rows;
+                self.walker = self.plan.walker(self.consumed + pos);
                 continue;
             }
-            let seg = *self
+            let (off, take) = self
                 .plan
-                .segments()
-                .get(self.seg_idx)
+                .next_piece(&mut self.walker, room)
                 .expect("UnpackCursor: unpacked past the end of the datatype");
-            let avail = seg.len - self.seg_off;
-            let take = avail.min(data.len() - pos);
-            let dst = abs_offset(&self.base, &seg, self.seg_off);
-            self.base.buf().write(dst, &data[pos..pos + take]);
+            buf.write(abs_offset(&self.base, off), &data[pos..pos + take]);
             pos += take;
-            self.seg_off += take;
-            if self.seg_off == seg.len {
-                self.seg_idx += 1;
-                self.seg_off = 0;
-            }
         }
         self.consumed += data.len();
     }

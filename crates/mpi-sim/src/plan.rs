@@ -1,13 +1,13 @@
 //! Committed communication plans.
 //!
 //! A [`Plan`] is everything the library needs to move one `(datatype,
-//! count)` message: the expanded segment list, its prefix sums (packed-byte
-//! offsets) and its [`Layout`] classification. Building one costs an
-//! allocation plus a walk over every segment, which is exactly the
-//! datatype-processing overhead the paper (and TEMPI after it) identifies
-//! as the tax on derived-datatype communication — so committed types carry
-//! a small LRU [`PlanCache`] keyed by `count`, and the steady-state send
-//! path clones an `Arc<Plan>` instead of re-expanding.
+//! count)` message: the stride [`Program`] of `count` elements, packed-byte
+//! prefix sums per block, and its [`Layout`] and [`Canonical`]
+//! classifications. Building one replicates the element program — an
+//! outer dimension for any type with a one-block program — so its cost no
+//! longer grows with the number of rows. Committed types still carry a
+//! small LRU [`PlanCache`] keyed by `count`, and the steady-state send path
+//! clones an `Arc<Plan>` instead of rebuilding.
 //!
 //! Cache traffic is observable two ways: per-type via
 //! [`crate::Datatype::plan_cache_stats`], and process-wide through
@@ -21,53 +21,102 @@ use std::sync::Arc;
 use sim_core::lock::Mutex;
 
 use crate::flat::{FlatType, Layout, Segment};
+use crate::program::{Block, Program};
 
 /// A piece of a packed-byte range mapped back to buffer space:
 /// `(buffer offset, length)`.
 pub type Piece = (isize, usize);
 
-/// The immutable, shareable expansion of `count` elements of a committed
-/// datatype: segments in pack order, packed-offset prefix sums, and the
-/// classified layout.
+/// The immutable, shareable stride program of `count` elements of a
+/// committed datatype, with packed-offset prefix sums and its classified
+/// layouts.
 #[derive(Debug)]
 pub struct Plan {
-    segments: Vec<Segment>,
-    /// `prefix[i]` = packed bytes before segment `i`; last entry = total.
+    program: Arc<Program>,
+    /// `prefix[i]` = packed bytes before block `i`; last entry = total.
     prefix: Vec<usize>,
+    runs: usize,
     layout: Layout,
+    canonical: Canonical,
+}
+
+/// A position in a plan's packed stream: run `run` of block `block`,
+/// `within` bytes into the run. Advanced by [`Plan::next_piece`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Walker {
+    block: usize,
+    run: usize,
+    within: usize,
 }
 
 impl Plan {
     /// Build a plan from an explicit segment list (already in pack order).
     pub fn from_segments(segments: Vec<Segment>) -> Self {
-        let mut prefix = Vec::with_capacity(segments.len() + 1);
+        Plan::from_program(Arc::new(Program::from_segments(segments)))
+    }
+
+    /// Replicate and classify `count` elements of `flat`. One element
+    /// shares the committed program.
+    pub fn build(flat: &FlatType, count: usize) -> Self {
+        Plan::from_program(match count {
+            1 => Arc::clone(flat.shared_program()),
+            _ => Arc::new(flat.program().replicate(count, flat.extent())),
+        })
+    }
+
+    fn from_program(mut program: Arc<Program>) -> Self {
+        // Blocks follow the type tree, which can split a regular pattern
+        // off its grid (an indexed block straddling two groups of rows).
+        // Re-folding such a program run by run recovers the canonical
+        // grouping; only blocks of one run length can form a pattern, so
+        // no other program pays for it.
+        if program.blocks().len() > 1 && program.blocks().windows(2).all(|w| w[0].len == w[1].len) {
+            program = Arc::new(Program::from_segments(
+                program.segments().collect::<Vec<_>>(),
+            ));
+        }
+        let mut prefix = Vec::with_capacity(program.blocks().len() + 1);
         let mut acc = 0usize;
         prefix.push(0);
-        for s in &segments {
-            acc += s.len;
+        for b in program.blocks() {
+            acc += b.bytes();
             prefix.push(acc);
         }
-        let layout = FlatType::classify(&segments);
+        let layout = match program.blocks() {
+            [] => Layout::Contiguous { offset: 0, len: 0 },
+            [b] => match *b.dims() {
+                [] => Layout::Contiguous {
+                    offset: b.offset,
+                    len: b.len,
+                },
+                [(height, pitch)] if pitch > b.len as isize => Layout::Strided2D {
+                    first: b.offset,
+                    pitch: pitch as usize,
+                    width: b.len,
+                    height,
+                },
+                _ => Layout::Irregular,
+            },
+            _ => Layout::Irregular,
+        };
+        let canonical = Canonical::classify(&program, &layout);
         Plan {
-            segments,
+            runs: program.runs(),
+            program,
             prefix,
             layout,
+            canonical,
         }
     }
 
-    /// Expand and classify `count` elements of `flat`.
-    pub fn build(flat: &FlatType, count: usize) -> Self {
-        Plan::from_segments(flat.expanded(count))
+    /// The stride program.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
-    /// Segments in pack order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Number of segments.
+    /// Number of runs (merged segments): what per-run cost models bill.
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.runs
     }
 
     /// Total packed bytes.
@@ -75,14 +124,57 @@ impl Plan {
         *self.prefix.last().unwrap()
     }
 
-    /// Packed bytes before segment `i` (valid for `i <= num_segments()`).
-    pub fn packed_offset(&self, i: usize) -> usize {
-        self.prefix[i]
-    }
-
     /// The classified layout.
     pub fn layout(&self) -> &Layout {
         &self.layout
+    }
+
+    /// Heap bytes this plan holds: its blocks, their dimensions and the
+    /// per-block prefix sums.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let blocks: usize = self
+            .program
+            .blocks()
+            .iter()
+            .map(|b| size_of::<Block>() + size_of_val(b.dims()))
+            .sum();
+        blocks + size_of_val(&self.prefix[..])
+    }
+
+    /// The position of packed byte `off` (`off <= total()`).
+    pub(crate) fn walker(&self, off: usize) -> Walker {
+        assert!(
+            off <= self.total(),
+            "offset {off} exceeds packed size {}",
+            self.total()
+        );
+        let block = self.prefix.partition_point(|&p| p <= off) - 1;
+        let within = off - self.prefix[block];
+        let len = self.program.blocks().get(block).map_or(1, |b| b.len);
+        Walker {
+            block,
+            run: within / len,
+            within: within % len,
+        }
+    }
+
+    /// The next piece at `w`, at most `max` bytes (`max > 0`), advancing
+    /// `w` past it; `None` at the end of the stream.
+    pub(crate) fn next_piece(&self, w: &mut Walker, max: usize) -> Option<Piece> {
+        let b: &Block = self.program.blocks().get(w.block)?;
+        let off = b.run_offset(w.run) + w.within as isize;
+        let take = (b.len - w.within).min(max);
+        w.within += take;
+        if w.within == b.len {
+            w.within = 0;
+            w.run += 1;
+            if b.dims().is_empty() || w.run == b.runs() {
+                w.run = 0;
+                w.block += 1;
+            }
+        }
+        Some((off, take))
     }
 
     /// Map the packed-byte range `[off, off+len)` to buffer-space pieces.
@@ -94,20 +186,12 @@ impl Plan {
             self.total()
         );
         let mut out = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        // Index of the segment containing packed offset `off`.
-        let mut i = self.prefix.partition_point(|&p| p <= off) - 1;
-        let mut cur = off;
-        let end = off + len;
-        while cur < end {
-            let seg = &self.segments[i];
-            let within = cur - self.prefix[i];
-            let take = (seg.len - within).min(end - cur);
-            out.push((seg.offset + within as isize, take));
-            cur += take;
-            i += 1;
+        let mut w = self.walker(off);
+        let mut left = len;
+        while left > 0 {
+            let p = self.next_piece(&mut w, left).expect("range within total");
+            left -= p.1;
+            out.push(p);
         }
         out
     }
@@ -116,10 +200,10 @@ impl Plan {
 /// TEMPI-style canonical form of a plan: the observation (PAPERS.md) that
 /// almost every derived datatype seen in practice collapses into at most
 /// two stride levels, so one small descriptor can drive an entire
-/// transfer. [`Canonical::of`] recovers the form from the expanded segment
-/// list — including two-level patterns the single-level [`Layout`]
-/// classifier files under [`Layout::Irregular`] (e.g. `count > 1` of a
-/// resized column type, or the rows-within-planes of a 3-D subarray).
+/// transfer. A stride program states the levels directly — including
+/// two-level patterns the single-level [`Layout`] classifier files under
+/// [`Layout::Irregular`] (e.g. `count > 1` of a resized column type, or
+/// the rows-within-planes of a 3-D subarray).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Canonical {
     /// One contiguous run at `offset`.
@@ -162,10 +246,17 @@ pub enum Canonical {
 }
 
 impl Canonical {
-    /// Classify a plan. Cheap for plans the [`Layout`] classifier already
-    /// solved; a single `O(segments)` scan for the two-level recovery.
+    /// The plan's canonical form (computed when the plan was built).
     pub fn of(plan: &Plan) -> Canonical {
-        match *plan.layout() {
+        plan.canonical
+    }
+
+    /// A one-block program with two forward stride levels is two-level
+    /// strided; group extents may interleave (a resized column type
+    /// restarts below the previous column) — DMA order is the descriptor
+    /// walk, not address order, so that's fine.
+    fn classify(program: &Program, layout: &Layout) -> Canonical {
+        match *layout {
             Layout::Contiguous { offset, len } => Canonical::Contig { offset, len },
             Layout::Strided2D {
                 first,
@@ -178,58 +269,25 @@ impl Canonical {
                 stride: pitch,
                 count: height,
             },
-            Layout::Irregular => two_level(plan.segments()),
+            Layout::Irregular => match program.blocks() {
+                [b] => match *b.dims() {
+                    [(count, stride), (outer_count, outer_stride)]
+                        if stride > 0 && outer_stride > 0 =>
+                    {
+                        Canonical::Strided2D {
+                            first: b.offset,
+                            block: b.len,
+                            stride: stride as usize,
+                            count,
+                            outer_stride: outer_stride as usize,
+                            outer_count,
+                        }
+                    }
+                    _ => Canonical::Irregular,
+                },
+                _ => Canonical::Irregular,
+            },
         }
-    }
-}
-
-/// Try to describe an `Irregular` segment list as two stride levels:
-/// equal-width blocks forming `g` groups of `r`, constant inner pitch,
-/// constant outer pitch. Group extents may interleave (a resized column
-/// type restarts below the previous column) — DMA order is the descriptor
-/// walk, not address order, so that's fine.
-fn two_level(segs: &[Segment]) -> Canonical {
-    let n = segs.len();
-    if n < 4 {
-        return Canonical::Irregular;
-    }
-    let w = segs[0].len;
-    if w == 0 || segs.iter().any(|s| s.len != w) {
-        return Canonical::Irregular;
-    }
-    let p = segs[1].offset - segs[0].offset;
-    if p <= 0 {
-        return Canonical::Irregular;
-    }
-    // Inner run length: the first break in the pitch-`p` arithmetic.
-    let r = (1..n)
-        .find(|&i| segs[i].offset - segs[i - 1].offset != p)
-        .unwrap_or(n);
-    if r < 2 || r == n || !n.is_multiple_of(r) {
-        return Canonical::Irregular;
-    }
-    let big = segs[r].offset - segs[0].offset;
-    if big <= 0 {
-        return Canonical::Irregular;
-    }
-    let g = n / r;
-    for k in 0..g {
-        if segs[k * r].offset - segs[0].offset != big * k as isize {
-            return Canonical::Irregular;
-        }
-        for i in 1..r {
-            if segs[k * r + i].offset - segs[k * r + i - 1].offset != p {
-                return Canonical::Irregular;
-            }
-        }
-    }
-    Canonical::Strided2D {
-        first: segs[0].offset,
-        block: w,
-        stride: p as usize,
-        count: r,
-        outer_stride: big as usize,
-        outer_count: g,
     }
 }
 
@@ -476,10 +534,13 @@ mod tests {
     fn prefix_and_total() {
         let p = Plan::from_segments(vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
         assert_eq!(p.total(), 16);
-        assert_eq!(p.packed_offset(0), 0);
-        assert_eq!(p.packed_offset(2), 8);
-        assert_eq!(p.packed_offset(3), 16);
         assert_eq!(p.num_segments(), 3);
+        // Walking 8 bytes from the start lands where a seek to 8 does.
+        let mut w = p.walker(0);
+        assert_eq!(p.next_piece(&mut w, 8), Some((0, 4)));
+        assert_eq!(p.next_piece(&mut w, 4), Some((12, 4)));
+        assert_eq!(w, p.walker(8));
+        assert_eq!(p.next_piece(&mut p.walker(16), 1), None);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl HostSendSource {
     }
 
     fn segs_for(&self, bytes: usize) -> usize {
-        // Approximate share of segments touched by a chunk of `bytes`.
+        // Approximate share of runs touched by a chunk of `bytes`.
         if self.total == 0 {
             return 0;
         }
@@ -146,11 +146,9 @@ impl SendSource for HostSendSource {
             "host source: out-of-order chunk request"
         );
         // CPU pack happens synchronously in the progress engine, costing
-        // pack time.
+        // pack time; the bytes go straight into the staging buffer.
         sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
-        let mut tmp = vec![0u8; len];
-        self.cursor.pack_into(&mut tmp);
-        dst.write(&tmp);
+        dst.write_with(len, |out| self.cursor.pack_into(out));
         self.ready_upto = idx + 1;
     }
 

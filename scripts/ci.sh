@@ -21,6 +21,13 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> benchmark tests (virtual-time identity guards)"
+# The repository benchmark's own tests: traced and untraced runs give
+# equal virtual results, and the vector and halo workloads reproduce the
+# committed BENCH_pipeline 4 MiB adaptive latency and BENCH_rank_scale
+# 1024-rank virt_ms exactly.
+cargo test --release --offline --manifest-path ncbench/Cargo.toml
+
 echo "==> pipeline bench smoke (plan cache + adaptive policy guards)"
 cargo run --release -q -p bench --bin pipeline_bench -- \
     --iters 4 --out /tmp/BENCH_pipeline_smoke.json > /dev/null

@@ -1,12 +1,12 @@
 //! Degenerate datatype geometries through the pack/unpack paths: zero-count
-//! vectors, zero blocklens, negative strides (hvector/hindexed), and resized
-//! extents. For each type the CPU pack (`mpi_sim::pack`) and the GPU pack
-//! (`mv2_gpu_nc::gpu_pack`) must produce byte-for-byte identical packed
+//! vectors, zero blocklens, negative strides (hvector/hindexed), overlapping
+//! blocks and resized extents. For each type the CPU pack (`mpi_sim::pack`,
+//! over the reference expansion) and the GPU pack (`mv2_gpu_nc::gpu_pack`,
+//! over the committed plan) must produce byte-for-byte identical packed
 //! streams, and unpacking must land every byte at the same offsets.
 
 use gpu_nc_repro::mpi_sim::pack::{PackCursor, UnpackCursor};
 use gpu_nc_repro::mpi_sim::Datatype;
-use gpu_nc_repro::mv2_gpu_nc::gpu_pack::{enqueue_gather, enqueue_scatter};
 use gpu_nc_repro::mv2_gpu_nc::SegmentMap;
 use gpu_sim::Gpu;
 use hostmem::HostBuf;
@@ -38,8 +38,8 @@ fn check_pack_unpack(dt: &Datatype, count: usize) {
     ucur.unpack_from(&cpu_packed);
     assert!(ucur.finished(), "CPU unpack consumed the whole stream");
 
-    // GPU pack/unpack inside the simulator.
-    let segs2 = segs.clone();
+    // GPU pack/unpack inside the simulator, through the committed plan.
+    let plan = dt.plan(count);
     let packed2 = cpu_packed.clone();
     let pattern2 = pattern.clone();
     let out: std::sync::Arc<std::sync::Mutex<(Vec<u8>, Vec<u8>)>> = Default::default();
@@ -51,7 +51,7 @@ fn check_pack_unpack(dt: &Datatype, count: usize) {
         let user = gpu.malloc(span.max(1));
         gpu.write_bytes(user, &pattern2);
         let userp = user.add(base_off);
-        let m = SegmentMap::new(segs2.clone());
+        let m = SegmentMap::from_plan(plan);
         assert_eq!(m.total(), total);
 
         let gpu_packed = if total == 0 {
@@ -60,7 +60,7 @@ fn check_pack_unpack(dt: &Datatype, count: usize) {
             Vec::new()
         } else {
             let tbuf = gpu.malloc(total);
-            enqueue_gather(&gpu, &stream, userp, &m.pieces(0, total), tbuf).wait();
+            m.gather(&gpu, &stream, userp, 0, total, tbuf).wait();
             gpu.read_bytes(tbuf, total)
         };
 
@@ -70,7 +70,8 @@ fn check_pack_unpack(dt: &Datatype, count: usize) {
         if total != 0 {
             let sbuf = gpu.malloc(total);
             gpu.write_bytes(sbuf, &packed2);
-            enqueue_scatter(&gpu, &stream, dst.add(base_off), &m.pieces(0, total), sbuf).wait();
+            m.scatter(&gpu, &stream, dst.add(base_off), 0, total, sbuf)
+                .wait();
         }
         let unpacked = gpu.read_bytes(dst, span);
         *out2.lock().unwrap() = (gpu_packed, unpacked);
@@ -140,6 +141,15 @@ fn negative_stride_hvector() {
 fn negative_displacement_hindexed() {
     let dt = Datatype::hindexed(&[(2, -24), (1, 0), (3, -60)], &Datatype::float());
     check_pack_unpack(&dt, 1);
+}
+
+#[test]
+fn overlapping_block_send_type() {
+    // Blocks of two floats every float: legal for a send. Rows overlap, so
+    // the GPU must gather with the pack kernel, not a 2-D copy.
+    let dt = Datatype::hvector(3, 2, 4, &Datatype::float());
+    check_pack_unpack(&dt, 1);
+    check_pack_unpack(&dt, 2);
 }
 
 #[test]
