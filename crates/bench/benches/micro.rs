@@ -10,7 +10,8 @@ use gpu_sim::Gpu;
 use hostmem::HostBuf;
 use mpi_sim::pack::PackCursor;
 use mpi_sim::Datatype;
-use sim_core::{Sim, SimDur};
+use sim_core::{ExecMode, Sim, SimDur};
+use sim_trace::{LaneKind, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,6 +85,37 @@ fn bench_sim_kernel() {
         }
         sim.run()
     });
+    // Launch cost of a 1024-rank world's carriers: each fiber gets its own
+    // stack and is switched into once.
+    bench("sim_spawn_run_1024_empty_fibers", 20, || {
+        let sim = Sim::new();
+        sim.set_exec_mode(ExecMode::Event);
+        for i in 0..1024 {
+            sim.spawn(format!("p{i}"), || {});
+        }
+        sim.run()
+    });
+}
+
+/// Lane registration at launch of a 1024-rank world: 16 lanes per rank on
+/// a disabled recorder, as every untraced run registers them.
+fn bench_trace_registry() {
+    let keys: Vec<(String, &str)> = (0..1024)
+        .flat_map(|r| {
+            [
+                "proto", "pack", "d2h", "rdma", "h2d", "unpack", "pool", "tuner",
+            ]
+            .into_iter()
+            .flat_map(move |l| [(format!("rank{r}"), l), (format!("gpu{r}"), l)])
+        })
+        .collect();
+    bench("trace_register_16384_lanes_off", 20, || {
+        let rec = Recorder::off();
+        for (scope, name) in &keys {
+            rec.lane(scope, name, LaneKind::Proto);
+        }
+        rec.lanes().len()
+    });
 }
 
 /// `Gpu::memcpy_2d` D2D at the paper's 4 MiB vector geometry: 2^20
@@ -114,5 +146,6 @@ fn main() {
     bench_commit();
     bench_cpu_pack();
     bench_sim_kernel();
+    bench_trace_registry();
     bench_gpu_data_plane();
 }

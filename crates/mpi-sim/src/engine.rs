@@ -1703,7 +1703,7 @@ impl Engine {
                         let rdma = self
                             .scheme
                             .transport(st.dst)
-                            .write(key, offset, &ptr, st.total);
+                            .write(st.dst, key, offset, &ptr, st.total);
                         // On a reliable fabric the FIN departs right behind
                         // the write (same engine, ordered); under faults it
                         // waits for the CQE so a failed write is never
@@ -1820,7 +1820,7 @@ impl Engine {
                         let rdma = self
                             .scheme
                             .transport(st.dst)
-                            .write_sg(key, &ptr, &gather, &scatter);
+                            .write_sg(st.dst, key, &ptr, &gather, &scatter);
                         // On a reliable fabric the FIN departs right behind
                         // the write (same engine, ordered); under faults it
                         // waits for the CQE so a failed write is never
@@ -2348,7 +2348,7 @@ impl Engine {
                             d.rdma = self
                                 .scheme
                                 .transport(st.dst)
-                                .write(d.peer_key, d.peer_off, &d.ptr, st.total);
+                                .write(st.dst, d.peer_key, d.peer_off, &d.ptr, st.total);
                         }
                     } else {
                         self.trace.rdma.comp_span(
@@ -2394,7 +2394,7 @@ impl Engine {
                             o.rdma = self
                                 .scheme
                                 .transport(st.dst)
-                                .write_sg(o.peer_key, &o.ptr, &o.gather, &o.scatter);
+                                .write_sg(st.dst, o.peer_key, &o.ptr, &o.gather, &o.scatter);
                         }
                     } else {
                         self.trace.rdma.comp_span("offload", None, &o.rdma);
@@ -2459,6 +2459,7 @@ impl Engine {
                     ss.slots[slot].free = false;
                     ss.slots[slot].occupant = Some(i);
                     let comp = self.scheme.transport(ss.dst).write(
+                        ss.dst,
                         ss.slots[slot].desc.key,
                         0,
                         &vbuf.buf.base(),
@@ -2520,6 +2521,7 @@ impl Engine {
                         c.attempts += 1;
                         note(&self.counters, &self.trace, "retry.chunk_rdma");
                         c.comp = self.scheme.transport(ss.dst).write(
+                            ss.dst,
                             ss.slots[c.slot].desc.key,
                             0,
                             &c.vbuf.buf.base(),

@@ -87,10 +87,10 @@ impl Default for SchemeSel {
 /// of truth the checks formerly duplicated across `engine.rs` and
 /// `transport.rs` collapsed into.
 pub(crate) struct SchemeSelector {
-    /// Per-peer data path, chosen once from the fabric topology: the shm
-    /// copy engine for distinct co-located peers, the HCA (including
-    /// self-send loopback) otherwise.
-    transports: Vec<Box<dyn Transport>>,
+    /// The HCA data path: remote peers and self-send loopback.
+    rdma: RdmaTransport,
+    /// The shm copy engine: distinct co-located peers.
+    shm: ShmTransport,
     /// `colocated[p]`: peer `p` is a *different* rank on this rank's node.
     colocated: Vec<bool>,
     sel: SchemeSel,
@@ -106,19 +106,10 @@ impl SchemeSelector {
     /// self-sends keep the HCA loopback path so the ppn=1 topology stays
     /// bit-identical to the pre-topology engine.
     pub(crate) fn new(nic: &Nic, rank: usize, size: usize, cfg: &MpiConfig) -> SchemeSelector {
-        let colocated: Vec<bool> = (0..size).map(|p| p != rank && nic.colocated(p)).collect();
-        let transports = (0..size)
-            .map(|dst| -> Box<dyn Transport> {
-                if colocated[dst] {
-                    Box::new(ShmTransport::new(nic.clone(), dst))
-                } else {
-                    Box::new(RdmaTransport::new(nic.clone(), dst))
-                }
-            })
-            .collect();
         SchemeSelector {
-            transports,
-            colocated,
+            rdma: RdmaTransport::new(nic.clone()),
+            shm: ShmTransport::new(nic.clone()),
+            colocated: (0..size).map(|p| p != rank && nic.colocated(p)).collect(),
             sel: cfg.scheme,
             eager_limit: cfg.eager_limit,
             shm_eager_limit: cfg.shm_eager_limit,
@@ -132,9 +123,13 @@ impl SchemeSelector {
         self.colocated[peer]
     }
 
-    /// The data path toward `peer`.
+    /// The data path toward `peer`; callers pass `peer` again on the write.
     pub(crate) fn transport(&self, peer: usize) -> &dyn Transport {
-        &*self.transports[peer]
+        if self.colocated[peer] {
+            &self.shm
+        } else {
+            &self.rdma
+        }
     }
 
     /// The eager threshold toward `peer`: the shm channel has no wire or
@@ -228,13 +223,20 @@ mod tests {
 
     #[test]
     fn transport_selection_follows_topology() {
-        let s = selector(SchemeSel::default());
-        assert_eq!(s.transport(0).name(), "rdma"); // self: loopback
-        assert_eq!(s.transport(1).name(), "shm"); // co-located
-        assert_eq!(s.transport(2).name(), "rdma"); // remote
-        assert_eq!(s.transport(3).name(), "rdma");
-        assert!(s.colocated(1) && !s.colocated(0) && !s.colocated(2));
-        assert!(s.offload_peer(2) && !s.offload_peer(1));
+        let topo = Topology::uniform(4, 4);
+        let fabric =
+            Fabric::with_topology(topo.clone(), NetModel::qdr(), ShmModel::westmere(), None);
+        let n = topo.num_ranks();
+        for rank in 0..n {
+            let s = SchemeSelector::new(&fabric.nic(rank), rank, n, &MpiConfig::default());
+            for peer in 0..n {
+                let shm = peer != rank && topo.node_of(peer) == topo.node_of(rank);
+                let want = if shm { "shm" } else { "rdma" };
+                assert_eq!(s.transport(peer).name(), want, "rank {rank} -> peer {peer}");
+                assert_eq!(s.colocated(peer), shm);
+                assert_eq!(s.offload_peer(peer), !shm);
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! lives in `engine.rs` and is transport-agnostic; everything that actually
 //! places bytes into a peer's registered region goes through a [`Transport`]
 //! chosen per peer by the [`SchemeSelector`](crate::scheme::SchemeSelector)
-//! from the fabric's [`Topology`](ib_sim::Topology):
+//! from the fabric's [`Topology`](ib_sim::Topology). An engine owns one
+//! transport of each kind and names the destination rank on every call, so
+//! an engine keeps only a colocation flag per peer:
 //!
 //! * [`RdmaTransport`] — the existing RDMA-staged path: one-sided
 //!   `rdma_write` through the node's HCA onto the wire, plus the HCA's
@@ -23,24 +25,32 @@ use hostmem::HostPtr;
 use ib_sim::{MrKey, Nic, SgEntry};
 use sim_core::Completion;
 
-/// One peer's data path: writes packed bytes into the peer's registered
-/// memory and reports sender-side completion.
+/// A data path: writes packed bytes into a peer's registered memory and
+/// reports sender-side completion.
 pub(crate) trait Transport: Send {
-    /// Place `len` bytes from `src` at `(key, dst_offset)` on the peer.
-    fn write(&self, key: MrKey, dst_offset: usize, src: &HostPtr, len: usize) -> Completion;
+    /// Place `len` bytes from `src` at `(key, dst_offset)` on rank `dst`.
+    fn write(
+        &self,
+        dst: usize,
+        key: MrKey,
+        dst_offset: usize,
+        src: &HostPtr,
+        len: usize,
+    ) -> Completion;
 
-    /// Walk `gather` over `src`'s buffer and `scatter` over the peer's
+    /// Walk `gather` over `src`'s buffer and `scatter` over rank `dst`'s
     /// region `key` through the offload engine — the NicOffload scheme's
     /// completion handling. Transports without a descriptor walker panic:
     /// the scheme layer must not route offload transfers at them.
     fn write_sg(
         &self,
+        dst: usize,
         key: MrKey,
         src: &HostPtr,
         gather: &[SgEntry],
         scatter: &[SgEntry],
     ) -> Completion {
-        let _ = (key, src, gather, scatter);
+        let _ = (dst, key, src, gather, scatter);
         panic!(
             "scheme bug: the {} transport has no scatter/gather engine",
             self.name()
@@ -54,28 +64,35 @@ pub(crate) trait Transport: Send {
 /// The RDMA-staged data path (HCA + wire).
 pub(crate) struct RdmaTransport {
     nic: Nic,
-    dst: usize,
 }
 
 impl RdmaTransport {
-    pub(crate) fn new(nic: Nic, dst: usize) -> Self {
-        RdmaTransport { nic, dst }
+    pub(crate) fn new(nic: Nic) -> Self {
+        RdmaTransport { nic }
     }
 }
 
 impl Transport for RdmaTransport {
-    fn write(&self, key: MrKey, dst_offset: usize, src: &HostPtr, len: usize) -> Completion {
-        self.nic.rdma_write(self.dst, key, dst_offset, src, len)
+    fn write(
+        &self,
+        dst: usize,
+        key: MrKey,
+        dst_offset: usize,
+        src: &HostPtr,
+        len: usize,
+    ) -> Completion {
+        self.nic.rdma_write(dst, key, dst_offset, src, len)
     }
 
     fn write_sg(
         &self,
+        dst: usize,
         key: MrKey,
         src: &HostPtr,
         gather: &[SgEntry],
         scatter: &[SgEntry],
     ) -> Completion {
-        self.nic.rdma_write_sg(self.dst, key, src, gather, scatter)
+        self.nic.rdma_write_sg(dst, key, src, gather, scatter)
     }
 
     fn name(&self) -> &'static str {
@@ -86,18 +103,24 @@ impl Transport for RdmaTransport {
 /// The intra-node shared-memory data path (node-local copy engine).
 pub(crate) struct ShmTransport {
     nic: Nic,
-    dst: usize,
 }
 
 impl ShmTransport {
-    pub(crate) fn new(nic: Nic, dst: usize) -> Self {
-        ShmTransport { nic, dst }
+    pub(crate) fn new(nic: Nic) -> Self {
+        ShmTransport { nic }
     }
 }
 
 impl Transport for ShmTransport {
-    fn write(&self, key: MrKey, dst_offset: usize, src: &HostPtr, len: usize) -> Completion {
-        self.nic.shm_write(self.dst, key, dst_offset, src, len)
+    fn write(
+        &self,
+        dst: usize,
+        key: MrKey,
+        dst_offset: usize,
+        src: &HostPtr,
+        len: usize,
+    ) -> Completion {
+        self.nic.shm_write(dst, key, dst_offset, src, len)
     }
 
     fn name(&self) -> &'static str {
@@ -126,8 +149,8 @@ mod tests {
             sim.spawn("writer", move || {
                 let src = HostBuf::from_vec((0..32).collect());
                 nic.register(&src);
-                let a = ShmTransport::new(nic.clone(), 1).write(shm_key, 0, &src.base(), 32);
-                let b = RdmaTransport::new(nic.clone(), 2).write(rdma_key, 0, &src.base(), 32);
+                let a = ShmTransport::new(nic.clone()).write(1, shm_key, 0, &src.base(), 32);
+                let b = RdmaTransport::new(nic.clone()).write(2, rdma_key, 0, &src.base(), 32);
                 a.wait();
                 b.wait();
                 assert_eq!(s2.read(0, 32), r2.read(0, 32));
@@ -162,8 +185,8 @@ mod tests {
                     stride: 8,
                     count: 2,
                 }];
-                RdmaTransport::new(nic.clone(), 1)
-                    .write_sg(key, &src.base(), &g, &s)
+                RdmaTransport::new(nic.clone())
+                    .write_sg(1, key, &src.base(), &g, &s)
                     .wait();
                 assert_eq!(d2.read(0, 4), vec![0, 1, 2, 3]);
                 assert_eq!(d2.read(8, 4), vec![16, 17, 18, 19]);
@@ -181,6 +204,6 @@ mod tests {
         let dst = HostBuf::alloc(8);
         let key = fabric.nic(1).register(&dst);
         let src = HostBuf::alloc(8);
-        let _ = ShmTransport::new(fabric.nic(0), 1).write_sg(key, &src.base(), &[], &[]);
+        let _ = ShmTransport::new(fabric.nic(0)).write_sg(1, key, &src.base(), &[], &[]);
     }
 }

@@ -16,6 +16,7 @@
 //! workspace builds for). On other architectures the kernel silently falls
 //! back to thread carriers.
 
+use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
 
@@ -95,6 +96,11 @@ thread_local! {
     static CARRIER: std::cell::Cell<*mut FiberCtx> = const { std::cell::Cell::new(ptr::null_mut()) };
 }
 
+/// Written at the low end of every fiber stack and checked each time the
+/// fiber switches back to the kernel. Stacks grow down, so a body that
+/// runs past its budget hits this word first.
+const STACK_CANARY: u64 = 0x5eed_57ac_c0de_f00d;
+
 pub(crate) struct FiberData {
     /// The process body plus all kernel bookkeeping (status transition to
     /// Done, live count, panic capture). Taken on first entry.
@@ -102,6 +108,8 @@ pub(crate) struct FiberData {
     /// The fiber's own saved context; the entry function switches back
     /// through it when the body finishes.
     ctx: FiberCtx,
+    /// The [`STACK_CANARY`] word at the base of the fiber's stack.
+    canary: *const u64,
 }
 
 /// One stackful coroutine: an owned stack and a saved context. Boxed inside
@@ -114,8 +122,9 @@ pub(crate) struct FiberData {
 /// threads is therefore sound (same contract as a parked OS thread's stack).
 pub(crate) struct Fiber {
     data: Box<FiberData>,
-    /// Owned stack memory; kept alive as long as the fiber may run.
-    _stack: Box<[u8]>,
+    /// Owned stack memory; kept alive as long as the fiber may run. Never
+    /// zeroed: a stack is only read below what its own frames wrote.
+    _stack: Box<[MaybeUninit<u8>]>,
     /// The kernel has switched into this fiber at least once.
     pub(crate) started: bool,
     /// The body has returned (or unwound); the fiber must never be resumed.
@@ -159,14 +168,18 @@ impl Fiber {
     /// byte stack when first switched into.
     pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce() + Send>) -> Fiber {
         assert!(supported(), "fiber carriers are x86_64-only");
-        let mut stack = vec![0u8; stack_size.max(16 * 1024)].into_boxed_slice();
+        let mut stack = Box::<[u8]>::new_uninit_slice(stack_size.max(16 * 1024));
         let mut data = Box::new(FiberData {
             body: Some(body),
             ctx: FiberCtx::null(),
+            canary: ptr::null(),
         });
         unsafe {
-            let base = stack.as_mut_ptr();
+            let base = stack.as_mut_ptr() as *mut u8;
             let top = base.add(stack.len());
+            let canary = base.add(base.align_offset(8)) as *mut u64;
+            canary.write(STACK_CANARY);
+            data.canary = canary;
             // 16-byte align the logical stack top.
             let top16 = top.sub(top as usize % 16);
             // Layout (high to low): fake return slot, trampoline return
@@ -197,6 +210,8 @@ impl Fiber {
     }
 
     /// Resume the fiber on the calling (kernel) thread until it yields back.
+    /// Panics, naming `SIM_STACK_KB`, if the fiber overwrote its stack
+    /// canary meanwhile.
     ///
     /// # Safety
     /// Must only be called by the kernel run loop, with no kernel locks held,
@@ -206,5 +221,24 @@ impl Fiber {
         let prev = CARRIER.with(|c| c.replace(&mut carrier as *mut FiberCtx));
         sim_core_fiber_switch(&mut carrier, &(*data).ctx);
         CARRIER.with(|c| c.set(prev));
+        if *(*data).canary != STACK_CANARY {
+            stack_overflow();
+        }
     }
+
+    /// Overwrite this fiber's stack canary, as an overflowing body would.
+    #[cfg(test)]
+    pub(crate) fn clobber_canary(&mut self) {
+        unsafe { (self.data.canary as *mut u64).write(0) };
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn stack_overflow() -> ! {
+    panic!(
+        "simulated process overflowed its fiber stack (the canary at the \
+         stack's low end was overwritten; memory below it may be corrupt); \
+         raise the per-process stack budget with SIM_STACK_KB (KiB)"
+    )
 }

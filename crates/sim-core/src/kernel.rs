@@ -967,6 +967,24 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "SIM_STACK_KB")]
+    fn overflowed_fiber_stack_stops_the_run() {
+        let sim = Sim::new();
+        sim.set_exec_mode(ExecMode::Event);
+        sim.spawn("overflow", || {
+            // Stand in for a body that ran past its stack budget.
+            with_ctx(|ctx| {
+                let mut st = ctx.kernel.state.lock();
+                let fb = st.procs[ctx.pid.0].fiber.as_mut().expect("fiber carrier");
+                fb.clobber_canary();
+            });
+            sleep(SimDur::from_micros(1));
+        });
+        sim.run();
+    }
+
+    #[test]
     fn single_process_advances_clock() {
         let sim = Sim::new();
         sim.spawn("p", || {

@@ -1,7 +1,6 @@
 //! The recording layer: [`Recorder`], [`Lane`] handles and the event ring.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -100,10 +99,16 @@ pub struct Event {
 
 struct State {
     lanes: Vec<LaneMeta>,
+    /// `scope → name → id` index over `lanes`, so registration costs one
+    /// hash lookup per level and not a scan of every lane. Nested so both
+    /// levels can be probed with borrowed `&str`s.
+    lane_index: HashMap<String, HashMap<String, LaneId>>,
     ring: VecDeque<Event>,
     cap: usize,
     dropped: u64,
     counters: Vec<(String, CallCounters)>,
+    /// `prefix → position` index over `counters`.
+    counter_index: HashMap<String, usize>,
 }
 
 struct Inner {
@@ -145,10 +150,12 @@ impl Recorder {
                 enabled: AtomicBool::new(true),
                 state: Mutex::new(State {
                     lanes: Vec::new(),
+                    lane_index: HashMap::new(),
                     ring: VecDeque::new(),
                     cap,
                     dropped: 0,
                     counters: Vec::new(),
+                    counter_index: HashMap::new(),
                 }),
             }),
         }
@@ -168,23 +175,28 @@ impl Recorder {
 
     /// Register (or look up) the lane `scope/name`. Idempotent: the same
     /// pair always maps to the same [`LaneId`] (the first registration's
-    /// `kind` wins). Registration is rare (per resource, not per event), so
-    /// it does a linear scan instead of keeping an index.
+    /// `kind` wins). Ids are dense and follow first-registration order.
+    /// Every rank registers a handful of lanes, so a 1024-rank world holds
+    /// ~16k of them; the lookup goes through a hash index to keep launch
+    /// linear in rank count.
     pub fn lane(&self, scope: &str, name: &str, kind: LaneKind) -> Lane {
         let mut st = self.inner.state.lock();
-        let id = match st
-            .lanes
-            .iter()
-            .position(|l| l.scope == scope && l.name == name)
-        {
-            Some(i) => i as LaneId,
+        let st = &mut *st;
+        let found = st.lane_index.get(scope).and_then(|m| m.get(name)).copied();
+        let id = match found {
+            Some(id) => id,
             None => {
+                let id = st.lanes.len() as LaneId;
                 st.lanes.push(LaneMeta {
                     scope: scope.to_string(),
                     name: name.to_string(),
                     kind,
                 });
-                (st.lanes.len() - 1) as LaneId
+                st.lane_index
+                    .entry(scope.to_string())
+                    .or_default()
+                    .insert(name.to_string(), id);
+                id
             }
         };
         Lane {
@@ -241,16 +253,18 @@ impl Recorder {
     /// registrations instead (e.g. a `job{k}.` scope prefix).
     pub fn register_counters(&self, prefix: &str, counters: &CallCounters) {
         let mut st = self.inner.state.lock();
-        if let Some((_, existing)) = st.counters.iter().find(|(p, _)| p == prefix) {
+        if let Some(&i) = st.counter_index.get(prefix) {
             assert!(
-                existing.same_counters(counters),
+                st.counters[i].1.same_counters(counters),
                 "metrics-registry collision: prefix '{prefix}' is already \
                  registered with a different counter set; give each job its \
                  own namespace (e.g. 'job{{k}}.{prefix}')"
             );
             return;
         }
+        let i = st.counters.len();
         st.counters.push((prefix.to_string(), counters.clone()));
+        st.counter_index.insert(prefix.to_string(), i);
     }
 
     /// Unified snapshot of every registered counter set, keyed
@@ -418,5 +432,52 @@ mod tests {
         assert_eq!(m.get("gpu0.cudaMemcpy"), Some(&2));
         assert_eq!(m.get("rank1.retry.rts"), Some(&1));
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics-registry collision")]
+    fn register_counters_rejects_a_second_set_under_one_prefix() {
+        let r = Recorder::off();
+        r.register_counters("rank0", &CallCounters::new());
+        r.register_counters("rank0", &CallCounters::new());
+    }
+
+    #[test]
+    fn lane_ids_stay_dense_in_first_registration_order_at_scale() {
+        const N: usize = 20_000;
+        let key = |i: usize| (format!("rank{}", i / 16), format!("lane{}", i % 16));
+        let kind = |i: usize| {
+            if i.is_multiple_of(2) {
+                LaneKind::Proto
+            } else {
+                LaneKind::Stage
+            }
+        };
+        let r = Recorder::off();
+        let first: Vec<LaneId> = (0..N)
+            .map(|i| {
+                let (scope, name) = key(i);
+                r.lane(&scope, &name, kind(i)).id()
+            })
+            .collect();
+        assert_eq!(first, (0..N as LaneId).collect::<Vec<_>>(), "dense ids");
+        // Re-register in reverse order with the other kind: same ids, no
+        // new lanes, and the first registration's kind still wins.
+        for i in (0..N).rev() {
+            let (scope, name) = key(i);
+            let flipped = if kind(i) == LaneKind::Proto {
+                LaneKind::Stage
+            } else {
+                LaneKind::Proto
+            };
+            assert_eq!(r.lane(&scope, &name, flipped).id(), first[i]);
+        }
+        let lanes = r.lanes();
+        assert_eq!(lanes.len(), N);
+        for (i, meta) in lanes.iter().enumerate() {
+            let (scope, name) = key(i);
+            assert_eq!((meta.scope.as_str(), meta.name.as_str()), (&*scope, &*name));
+            assert_eq!(meta.kind, kind(i));
+        }
     }
 }
