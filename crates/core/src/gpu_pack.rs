@@ -309,20 +309,7 @@ fn enqueue_ops(
                 },
                 cost,
                 stream,
-                move |g| {
-                    let mut coff = contig;
-                    for (rel, len) in pieces {
-                        let u = dev_at(user, rel);
-                        if gather {
-                            let bytes = g.read_bytes(u, len);
-                            g.write_bytes(coff, &bytes);
-                        } else {
-                            let bytes = g.read_bytes(coff, len);
-                            g.write_bytes(u, &bytes);
-                        }
-                        coff = coff.add(len);
-                    }
-                },
+                move |g| g.move_runs(user, &pieces, contig, gather),
             )
         }
     }

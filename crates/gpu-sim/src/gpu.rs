@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use hostmem::{HostPtr, Scalar};
+use hostmem::{copy_runs, HostPtr, Scalar};
 use sim_core::lock::Mutex;
 use sim_core::san;
 use sim_core::{CallCounters, Completion, SimDur, SimTime};
@@ -118,47 +118,19 @@ impl Copy2d {
     }
 }
 
-/// Copy `height` rows of `width` bytes from `src` (rows `spitch` apart) to
-/// `dst` (rows `dpitch` apart). Narrow power-of-two widths get fixed-width
-/// row copies, which compile to plain loads and stores instead of a
-/// `memcpy` call per row; packed rows on both sides are one bulk copy.
-fn copy_rows(
-    dst: &mut [u8],
-    dpitch: usize,
-    src: &[u8],
-    spitch: usize,
-    width: usize,
-    height: usize,
-) {
-    fn fixed<const W: usize>(
-        dst: &mut [u8],
-        dpitch: usize,
-        src: &[u8],
-        spitch: usize,
-        height: usize,
-    ) {
-        for r in 0..height {
-            let (d, s) = (r * dpitch, r * spitch);
-            dst[d..d + W].copy_from_slice(&src[s..s + W]);
-        }
+/// `copy_within` of `len` bytes from `s` to `d`, with fixed-width copies
+/// for the narrow power-of-two runs datatype kernels move most.
+fn move_run(arena: &mut [u8], s: usize, d: usize, len: usize) {
+    fn fixed<const W: usize>(arena: &mut [u8], s: usize, d: usize) {
+        arena.copy_within(s..s + W, d);
     }
-    if dpitch == width && spitch == width {
-        let n = width * height;
-        dst[..n].copy_from_slice(&src[..n]);
-        return;
-    }
-    match width {
-        1 => fixed::<1>(dst, dpitch, src, spitch, height),
-        2 => fixed::<2>(dst, dpitch, src, spitch, height),
-        4 => fixed::<4>(dst, dpitch, src, spitch, height),
-        8 => fixed::<8>(dst, dpitch, src, spitch, height),
-        16 => fixed::<16>(dst, dpitch, src, spitch, height),
-        _ => {
-            for r in 0..height {
-                let (d, s) = (r * dpitch, r * spitch);
-                dst[d..d + width].copy_from_slice(&src[s..s + width]);
-            }
-        }
+    match len {
+        1 => fixed::<1>(arena, s, d),
+        2 => fixed::<2>(arena, s, d),
+        4 => fixed::<4>(arena, s, d),
+        8 => fixed::<8>(arena, s, d),
+        16 => fixed::<16>(arena, s, d),
+        _ => arena.copy_within(s..s + len, d),
     }
 }
 
@@ -623,12 +595,13 @@ impl Gpu {
         let (width, height) = (p.width, p.height);
         let src_ext = (height - 1) * p.spitch + width;
         let dst_ext = (height - 1) * p.dpitch + width;
+        let (dpitch, spitch) = (p.dpitch as isize, p.spitch as isize);
         let rows = |dst: &mut [u8], src: &[u8]| {
-            copy_rows(
+            copy_runs(
                 &mut dst[..dst_ext],
-                p.dpitch,
+                (0, dpitch),
                 &src[..src_ext],
-                p.spitch,
+                (0, spitch),
                 width,
                 height,
             )
@@ -649,22 +622,9 @@ impl Gpu {
                     rows(&mut lo[d..], hi);
                 } else {
                     let mut tmp = vec![0u8; width * height];
-                    copy_rows(
-                        &mut tmp,
-                        width,
-                        &mem.arena[s..s + src_ext],
-                        p.spitch,
-                        width,
-                        height,
-                    );
-                    copy_rows(
-                        &mut mem.arena[d..d + dst_ext],
-                        p.dpitch,
-                        &tmp,
-                        width,
-                        width,
-                        height,
-                    );
+                    let packed = (0, width as isize);
+                    copy_runs(&mut tmp, packed, &mem.arena, (s, spitch), width, height);
+                    copy_runs(&mut mem.arena, (d, dpitch), &tmp, packed, width, height);
                 }
             }
             (Loc::Host(hp), Loc::Device(dp)) => {
@@ -672,8 +632,17 @@ impl Gpu {
                 let mut mem = self.inner.mem.lock();
                 mem.check_access(dp.offset, dst_ext);
                 let (s, d) = (hp.offset(), dp.offset);
-                hp.buf()
-                    .with_slice(|host| rows(&mut mem.arena[d..], &host[s..]));
+                let host = hp.buf().read_view([(s, src_ext)]);
+                match host.get(s, src_ext) {
+                    Some(src) => rows(&mut mem.arena[d..], src),
+                    // A never-written host buffer reads as zeros.
+                    None => {
+                        for r in 0..height {
+                            let at = d + r * p.dpitch;
+                            mem.arena[at..at + width].fill(0);
+                        }
+                    }
+                }
             }
             (Loc::Device(sp), Loc::Host(hp)) => {
                 self.check_owned(*sp);
@@ -830,6 +799,61 @@ impl Gpu {
         }
         let dur = SimDur::from_nanos(self.inner.cost.kernel_launch_ns) + cost;
         self.schedule("kernel", stream, ENG_COMPUTE, dur, op)
+    }
+
+    /// Kernel body of a datatype pack (`gather`) or unpack: move each run
+    /// `(offset relative to strided, len)` between the layout at `strided`
+    /// and consecutive bytes at `packed`, in order, under one lock of the
+    /// device arena. Each run moves like `read_bytes` then `write_bytes`
+    /// (memmove semantics). Access is validated once when the runs' hull
+    /// lies in one live allocation, otherwise run by run; both reach the
+    /// per-run verdict.
+    pub fn move_runs(
+        &self,
+        strided: DevPtr,
+        runs: &[(isize, usize)],
+        packed: DevPtr,
+        gather: bool,
+    ) {
+        if runs.is_empty() {
+            return;
+        }
+        self.check_owned(strided);
+        self.check_owned(packed);
+        let (mut lo, mut hi, mut total) = (usize::MAX, 0, 0);
+        for &(rel, len) in runs {
+            let at = strided.add_signed(rel).offset;
+            if len > 0 {
+                (lo, hi) = (lo.min(at), hi.max(at + len));
+            }
+            total += len;
+        }
+        if san::enabled() {
+            let gpu = self.inner.id as u64;
+            let mut coff = packed.offset;
+            for &(rel, len) in runs {
+                let at = strided.add_signed(rel).offset;
+                san::on_dev_access(gpu, at, len, !gather);
+                san::on_dev_access(gpu, coff, len, gather);
+                coff += len;
+            }
+        }
+        let mut mem = self.inner.mem.lock();
+        let hull_ok = hi <= lo || mem.in_one_alloc(lo, hi - lo);
+        let packed_ok = mem.in_one_alloc(packed.offset, total);
+        let mut coff = packed.offset;
+        for &(rel, len) in runs {
+            let at = strided.add_signed(rel).offset;
+            if !hull_ok {
+                mem.check_access(at, len);
+            }
+            if !packed_ok {
+                mem.check_access(coff, len);
+            }
+            let (s, d) = if gather { (at, coff) } else { (coff, at) };
+            move_run(&mut mem.arena, s, d, len);
+            coff += len;
+        }
     }
 
     // --- untimed access (test setup / verification) ------------------------------

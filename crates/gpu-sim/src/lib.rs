@@ -511,4 +511,139 @@ mod tests {
             a.memcpy(h.base(), pb, 64);
         });
     }
+
+    /// Per-run reference of [`Gpu::move_runs`]: one `read_bytes` and one
+    /// `write_bytes` per run.
+    fn move_runs_reference(
+        gpu: &Gpu,
+        strided: DevPtr,
+        runs: &[(isize, usize)],
+        packed: DevPtr,
+        gather: bool,
+    ) {
+        let mut coff = packed;
+        for &(rel, len) in runs {
+            let u = strided.add_signed(rel);
+            let (s, d) = if gather { (u, coff) } else { (coff, u) };
+            let bytes = gpu.read_bytes(s, len);
+            gpu.write_bytes(d, &bytes);
+            coff = coff.add(len);
+        }
+    }
+
+    /// Run `move_runs` and its reference from the same `pattern` in `a`
+    /// and `b` and compare both allocations afterwards.
+    fn assert_moves_like_reference(
+        gpu: &Gpu,
+        (a, b, n): (DevPtr, DevPtr, usize),
+        pattern: &[u8],
+        strided: DevPtr,
+        runs: &[(isize, usize)],
+        packed: DevPtr,
+        gather: bool,
+    ) {
+        let reset = || {
+            gpu.write_bytes(a, pattern);
+            gpu.write_bytes(b, &pattern.iter().map(|x| !x).collect::<Vec<_>>());
+        };
+        reset();
+        move_runs_reference(gpu, strided, runs, packed, gather);
+        let expect = (gpu.read_bytes(a, n), gpu.read_bytes(b, n));
+        reset();
+        gpu.move_runs(strided, runs, packed, gather);
+        let got = (gpu.read_bytes(a, n), gpu.read_bytes(b, n));
+        assert_eq!(got, expect, "runs {runs:?} gather {gather}");
+    }
+
+    #[test]
+    fn run_mover_matches_per_run_reference() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let n = 1024;
+            let pattern: Vec<u8> = (0..n).map(|i| (i * 13 % 251) as u8).collect();
+            let (a, b) = (gpu.malloc(n), gpu.malloc(n));
+            let mut rng = xorshift::XorShift64::new(0x6D0F);
+            for width in 1..=17usize {
+                for gather in [true, false] {
+                    // Random offsets: runs may overlap each other, and a
+                    // scatter with overlapping runs keeps the later bytes.
+                    let runs: Vec<(isize, usize)> = (0..12)
+                        .map(|_| (rng.gen_range(0, 480) as isize - 16, width))
+                        .collect();
+                    let packed = b.add(rng.gen_range(0, 8));
+                    assert_moves_like_reference(
+                        &gpu,
+                        (a, b, n),
+                        &pattern,
+                        a.add(32),
+                        &runs,
+                        packed,
+                        gather,
+                    );
+                }
+            }
+            // Layout and packed bytes in one allocation, overlapping: every
+            // run reads its bytes before writing them (memmove).
+            for gather in [true, false] {
+                for runs in [
+                    vec![(0isize, 8usize), (4, 8), (16, 8)],
+                    vec![(6, 16), (2, 4), (30, 1)],
+                ] {
+                    assert_moves_like_reference(
+                        &gpu,
+                        (a, b, n),
+                        &pattern,
+                        a,
+                        &runs,
+                        a.add(3),
+                        gather,
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn run_list_spanning_two_adjacent_allocations_is_accepted() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let x = gpu.malloc(256);
+            let y = gpu.malloc(256);
+            assert_eq!(
+                y.offset(),
+                x.offset() + 256,
+                "first-fit places them adjacent"
+            );
+            let packed = gpu.malloc(256);
+            gpu.write_bytes(x, &[1u8; 256]);
+            gpu.write_bytes(y, &[2u8; 256]);
+            // The hull [250, 260) crosses the boundary; each run does not.
+            gpu.move_runs(x, &[(250, 4), (256, 4)], packed, true);
+            assert_eq!(gpu.read_bytes(packed, 8), vec![1, 1, 1, 1, 2, 2, 2, 2]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any live allocation")]
+    fn run_straddling_two_allocations_faults() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let x = gpu.malloc(256);
+            let _y = gpu.malloc(256);
+            let packed = gpu.malloc(256);
+            gpu.move_runs(x, &[(0, 4), (254, 4)], packed, true);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to gpu")]
+    fn run_mover_rejects_a_foreign_gpu_pointer() {
+        in_sim(|| {
+            let a = Gpu::tesla_c2050(0);
+            let b = Gpu::tesla_c2050(1);
+            let pa = a.malloc(64);
+            let pb = b.malloc(64);
+            a.move_runs(pb, &[(0, 4), (8, 4)], pa, true);
+        });
+    }
 }

@@ -164,18 +164,21 @@ impl DeviceMem {
     /// allocation; panics otherwise. This is the simulator's equivalent of a
     /// device segfault.
     pub fn check_access(&self, offset: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let ok = self
-            .allocs
-            .range(..=offset)
-            .next_back()
-            .is_some_and(|(&aoff, &alen)| offset + len <= aoff + alen);
         assert!(
-            ok,
+            self.in_one_alloc(offset, len),
             "device memory access [{offset:#x}, +{len}) outside any live allocation"
         );
+    }
+
+    /// Whether `[offset, offset+len)` lies within a single live allocation
+    /// (an empty range always does).
+    pub fn in_one_alloc(&self, offset: usize, len: usize) -> bool {
+        len == 0
+            || self
+                .allocs
+                .range(..=offset)
+                .next_back()
+                .is_some_and(|(&aoff, &alen)| offset + len <= aoff + alen)
     }
 
     /// Number of live allocations (for leak tests).

@@ -13,13 +13,24 @@
 //!
 //! # Lock order
 //!
-//! Each buffer's bytes sit behind one lock. Movers that copy between two
-//! buffers without an intermediate vector hold two of them, always the
-//! **destination's before the source's**: [`HostBuf::copy`] between
-//! distinct buffers, and [`HostPtr::write_with`] when its closure reads
-//! another buffer (a CPU packer filling a staging buffer). A mover never
-//! holds a buffer's lock while taking it again. Device movers in `gpu-sim`
-//! take the device arena's lock before any host buffer's.
+//! Each buffer's bytes sit behind one lock. A datatype mover takes each
+//! buffer's lock once per call, through a [`ReadView`] or [`WriteView`],
+//! and walks all of its runs under it. Movers that copy between two
+//! buffers without an intermediate vector hold two locks, always the
+//! **destination's before the source's**:
+//!
+//! * [`HostBuf::copy`] between distinct buffers;
+//! * [`HostPtr::write_with`] when its closure reads another buffer: a CPU
+//!   pack cursor filling a staging buffer holds the vbuf, then the user
+//!   buffer;
+//! * a CPU unpack cursor draining a staging buffer holds the user buffer,
+//!   then the vbuf;
+//! * a NIC scatter/gather write holds the target MR's buffer, then the
+//!   local source buffer.
+//!
+//! A mover never holds a buffer's lock while taking it again. Device
+//! movers in `gpu-sim` take the device arena's lock before any host
+//! buffer's.
 
 #![warn(missing_docs)]
 
@@ -27,7 +38,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sim_core::lock::Mutex;
+use sim_core::lock::{Mutex, MutexGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -146,25 +157,40 @@ impl HostBuf {
         self.ptr(0)
     }
 
+    /// Lock the buffer for reading the byte ranges `runs`, each `(offset,
+    /// len)`. With the sanitizer on, every run is reported as a read
+    /// before the lock is taken, so a caller that names its datatype's
+    /// runs keeps per-run precision while paying for one lock. The view
+    /// itself only bounds-checks; `runs` is not consumed when the
+    /// sanitizer is off.
+    pub fn read_view(&self, runs: impl IntoIterator<Item = (usize, usize)>) -> ReadView<'_> {
+        self.report(runs, false);
+        ReadView {
+            data: self.inner.data.lock(),
+        }
+    }
+
+    /// Lock the buffer for writing the byte ranges `runs`, reported like
+    /// [`HostBuf::read_view`]'s. The buffer materializes on the view's
+    /// first write.
+    pub fn write_view(&self, runs: impl IntoIterator<Item = (usize, usize)>) -> WriteView<'_> {
+        self.report(runs, true);
+        WriteView {
+            data: self.inner.data.lock(),
+        }
+    }
+
+    fn report(&self, runs: impl IntoIterator<Item = (usize, usize)>, write: bool) {
+        if sim_core::san::enabled() {
+            for (offset, len) in runs {
+                sim_core::san::on_host_access(self.inner.id, offset, len, write);
+            }
+        }
+    }
+
     /// Copy `out.len()` bytes starting at `offset` into `out`.
     pub fn read_into(&self, offset: usize, out: &mut [u8]) {
-        sim_core::san::on_host_access(self.inner.id, offset, out.len(), false);
-        let data = self.inner.data.lock();
-        let end = offset
-            .checked_add(out.len())
-            .filter(|&e| e <= data.len)
-            .unwrap_or_else(|| {
-                panic!(
-                    "HostBuf::read_into: range {offset}..+{} out of bounds (len {})",
-                    out.len(),
-                    data.len
-                )
-            });
-        match &data.vec {
-            Some(v) => out.copy_from_slice(&v[offset..end]),
-            // Never written: still all zeros, no need to materialize.
-            None => out.fill(0),
-        }
+        self.read_view([(offset, out.len())]).read_into(offset, out)
     }
 
     /// Read `len` bytes starting at `offset`.
@@ -176,19 +202,7 @@ impl HostBuf {
 
     /// Write `src` starting at `offset`.
     pub fn write(&self, offset: usize, src: &[u8]) {
-        sim_core::san::on_host_access(self.inner.id, offset, src.len(), true);
-        let mut data = self.inner.data.lock();
-        let end = offset
-            .checked_add(src.len())
-            .filter(|&e| e <= data.len)
-            .unwrap_or_else(|| {
-                panic!(
-                    "HostBuf::write: range {offset}..+{} out of bounds (len {})",
-                    src.len(),
-                    data.len
-                )
-            });
-        data.materialize()[offset..end].copy_from_slice(src);
+        self.write_view([(offset, src.len())]).write(offset, src)
     }
 
     /// Gather `height` rows of `width` bytes whose starts are `pitch` bytes
@@ -205,77 +219,13 @@ impl HostBuf {
         height: usize,
         out: &mut [u8],
     ) {
-        assert_eq!(
-            out.len(),
-            width * height,
-            "HostBuf::read_strided: output length {} != width {width} * height {height}",
-            out.len()
-        );
-        if width == 0 || height == 0 {
-            return;
-        }
-        if sim_core::san::enabled() {
-            for r in 0..height {
-                sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, false);
-            }
-        }
-        let data = self.inner.data.lock();
-        let last_end = offset + (height - 1) * pitch + width;
-        assert!(
-            last_end <= data.len,
-            "HostBuf::read_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
-             exceed buffer (len {})",
-            data.len
-        );
-        match &data.vec {
-            Some(v) => {
-                for (r, row) in out.chunks_exact_mut(width).enumerate() {
-                    let s = offset + r * pitch;
-                    row.copy_from_slice(&v[s..s + width]);
-                }
-            }
-            None => out.fill(0),
-        }
-    }
-
-    /// Scatter the contiguous `src` into `height` rows of `width` bytes
-    /// whose starts are `pitch` bytes apart (first row at `offset`), under
-    /// a single lock acquisition. `src.len()` must equal `width * height`.
-    pub fn write_strided(
-        &self,
-        offset: usize,
-        pitch: usize,
-        width: usize,
-        height: usize,
-        src: &[u8],
-    ) {
-        assert_eq!(
-            src.len(),
-            width * height,
-            "HostBuf::write_strided: source length {} != width {width} * height {height}",
-            src.len()
-        );
-        if width == 0 || height == 0 {
-            return;
-        }
-        if sim_core::san::enabled() {
-            for r in 0..height {
-                sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, true);
-            }
-        }
-        let mut data = self.inner.data.lock();
-        let last_end = offset + (height - 1) * pitch + width;
-        assert!(
-            last_end <= data.len,
-            "HostBuf::write_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
-             exceed buffer (len {})",
-            data.len
-        );
-        let v = data.materialize();
-        for (r, row) in src.chunks_exact(width).enumerate() {
-            let s = offset + r * pitch;
-            v[s..s + width].copy_from_slice(row);
-        }
+        let runs = Runs {
+            offset,
+            stride: pitch as isize,
+            len: width,
+            count: height,
+        };
+        self.read_view(runs.iter()).gather(runs, out);
     }
 
     /// Run `f` over the raw storage (single lock acquisition; used by bulk
@@ -305,19 +255,247 @@ impl HostBuf {
             data.materialize().copy_within(s..s + l, d);
             return;
         }
-        sim_core::san::on_host_access(src.buf.inner.id, s, l, false);
-        sim_core::san::on_host_access(dst.buf.inner.id, d, l, true);
-        let mut to = dst.buf.inner.data.lock();
-        let from = src.buf.inner.data.lock();
-        assert!(
-            s + l <= from.len && d + l <= to.len,
-            "HostBuf::copy: range out of bounds ({l} bytes from {s} of {} into {d} of {})",
-            from.len,
-            to.len
+        let mut to = dst.buf.write_view([(d, l)]);
+        let from = src.buf.read_view([(s, l)]);
+        to.copy_from(d, &from, s, l);
+    }
+}
+
+impl Storage {
+    /// `offset..offset + len`, or a panic naming `what` if that leaves the
+    /// buffer.
+    fn range(&self, what: &str, offset: usize, len: usize) -> std::ops::Range<usize> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len => offset..end,
+            _ => panic!(
+                "{what}: range {offset}..+{len} out of bounds (len {})",
+                self.len
+            ),
+        }
+    }
+}
+
+/// `count` runs of `len` bytes in one buffer, run `r` starting at byte
+/// `offset + r * stride`. The stride may be negative or smaller than
+/// `len` (overlapping runs).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Runs {
+    /// Offset of the first run.
+    pub offset: usize,
+    /// Distance between consecutive run starts, bytes.
+    pub stride: isize,
+    /// Bytes per run.
+    pub len: usize,
+    /// Number of runs.
+    pub count: usize,
+}
+
+impl Runs {
+    /// Total bytes the runs hold.
+    pub fn bytes(&self) -> usize {
+        self.len * self.count
+    }
+
+    /// Each run as `(offset, len)`.
+    pub fn iter(self) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.count).map(move |r| (self.at(r), self.len))
+    }
+
+    fn at(&self, r: usize) -> usize {
+        (self.offset as isize + r as isize * self.stride) as usize
+    }
+
+    /// Panic naming `what` unless every run lies within `buf_len` bytes and
+    /// `packed` holds exactly their bytes; false if there are none.
+    fn check(&self, what: &str, buf_len: usize, packed: usize) -> bool {
+        assert_eq!(
+            packed,
+            self.bytes(),
+            "{what}: contiguous side is {packed} bytes for {self:?}"
         );
-        let out = &mut to.materialize()[d..d + l];
-        match &from.vec {
-            Some(v) => out.copy_from_slice(&v[s..s + l]),
+        if self.bytes() == 0 {
+            return false;
+        }
+        let last = self.offset as isize + (self.count - 1) as isize * self.stride;
+        let (lo, hi) = (
+            last.min(self.offset as isize),
+            last.max(self.offset as isize),
+        );
+        assert!(
+            lo >= 0 && hi as usize + self.len <= buf_len,
+            "{what}: {} runs of {}B at stride {} from {} exceed buffer (len {buf_len})",
+            self.count,
+            self.len,
+            self.stride,
+            self.offset
+        );
+        true
+    }
+}
+
+/// Copy run `r` of `src` (at `s + r * ss`) to run `r` of `dst` (at
+/// `d + r * ds`) for `count` runs of `len` bytes, in order. Narrow
+/// power-of-two runs get fixed-width copies, which compile to plain loads
+/// and stores instead of a `memcpy` call per run; runs packed on both
+/// sides are one bulk copy. Panics if a run leaves its slice.
+///
+/// Inlined so that a single run, the common batch of an irregular
+/// layout, costs one bounds check and a `memcpy`.
+#[inline]
+pub fn copy_runs(
+    dst: &mut [u8],
+    (d, ds): (usize, isize),
+    src: &[u8],
+    (s, ss): (usize, isize),
+    len: usize,
+    count: usize,
+) {
+    if count == 1 || (ds == len as isize && ss == len as isize) {
+        let n = len * count;
+        dst[d..d + n].copy_from_slice(&src[s..s + n]);
+    } else {
+        copy_strided(dst, (d, ds), src, (s, ss), len, count);
+    }
+}
+
+/// The strided case of [`copy_runs`].
+fn copy_strided(
+    dst: &mut [u8],
+    (d, ds): (usize, isize),
+    src: &[u8],
+    (s, ss): (usize, isize),
+    len: usize,
+    count: usize,
+) {
+    fn fixed<const W: usize>(
+        dst: &mut [u8],
+        (d, ds): (usize, isize),
+        src: &[u8],
+        (s, ss): (usize, isize),
+        count: usize,
+    ) {
+        for r in 0..count as isize {
+            let (d, s) = (
+                (d as isize + r * ds) as usize,
+                (s as isize + r * ss) as usize,
+            );
+            dst[d..d + W].copy_from_slice(&src[s..s + W]);
+        }
+    }
+    match len {
+        1 => fixed::<1>(dst, (d, ds), src, (s, ss), count),
+        2 => fixed::<2>(dst, (d, ds), src, (s, ss), count),
+        4 => fixed::<4>(dst, (d, ds), src, (s, ss), count),
+        8 => fixed::<8>(dst, (d, ds), src, (s, ss), count),
+        16 => fixed::<16>(dst, (d, ds), src, (s, ss), count),
+        _ => {
+            for r in 0..count as isize {
+                let (d, s) = (
+                    (d as isize + r * ds) as usize,
+                    (s as isize + r * ss) as usize,
+                );
+                dst[d..d + len].copy_from_slice(&src[s..s + len]);
+            }
+        }
+    }
+}
+
+/// A host buffer locked for reading (see [`HostBuf::read_view`]). A
+/// buffer that was never written reads as zeros and stays unmaterialized.
+pub struct ReadView<'a> {
+    data: MutexGuard<'a, Storage>,
+}
+
+impl ReadView<'_> {
+    /// The `len` bytes at `offset`, or `None` if the buffer was never
+    /// written (they are all zero). Panics if the range leaves the buffer.
+    pub fn get(&self, offset: usize, len: usize) -> Option<&[u8]> {
+        let r = self.data.range("HostBuf read", offset, len);
+        self.data.vec.as_ref().map(|v| &v[r])
+    }
+
+    /// Copy `out.len()` bytes starting at `offset` into `out`.
+    pub fn read_into(&self, offset: usize, out: &mut [u8]) {
+        match self.get(offset, out.len()) {
+            Some(bytes) => out.copy_from_slice(bytes),
+            None => out.fill(0),
+        }
+    }
+
+    /// Gather `runs` into the contiguous `out` (exactly their bytes).
+    pub fn gather(&self, runs: Runs, out: &mut [u8]) {
+        if !runs.check("HostBuf gather", self.data.len, out.len()) {
+            return;
+        }
+        match &self.data.vec {
+            Some(v) => copy_runs(
+                out,
+                (0, runs.len as isize),
+                v,
+                (runs.offset, runs.stride),
+                runs.len,
+                runs.count,
+            ),
+            None => out.fill(0),
+        }
+    }
+}
+
+/// A host buffer locked for writing (see [`HostBuf::write_view`]).
+pub struct WriteView<'a> {
+    data: MutexGuard<'a, Storage>,
+}
+
+impl WriteView<'_> {
+    /// The `len` bytes at `offset`, writable in place. Materializes the
+    /// buffer; panics if the range leaves it.
+    pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
+        let r = self.data.range("HostBuf write", offset, len);
+        &mut self.data.materialize()[r]
+    }
+
+    /// Write `src` starting at `offset`.
+    pub fn write(&mut self, offset: usize, src: &[u8]) {
+        self.slice_mut(offset, src.len()).copy_from_slice(src);
+    }
+
+    /// Scatter the contiguous `src` (exactly their bytes) into `runs`, in
+    /// order: where runs overlap, the later one's bytes stay.
+    pub fn scatter(&mut self, runs: Runs, src: &[u8]) {
+        if !runs.check("HostBuf scatter", self.data.len, src.len()) {
+            return;
+        }
+        copy_runs(
+            self.data.materialize(),
+            (runs.offset, runs.stride),
+            src,
+            (0, runs.len as isize),
+            runs.len,
+            runs.count,
+        );
+    }
+
+    /// [`WriteView::scatter`] from the contiguous bytes at `from` of
+    /// another locked buffer.
+    pub fn scatter_from(&mut self, runs: Runs, src: &ReadView<'_>, from: usize) {
+        match src.get(from, runs.bytes()) {
+            Some(bytes) => self.scatter(runs, bytes),
+            None if runs.check("HostBuf scatter", self.data.len, runs.bytes()) => {
+                let v = self.data.materialize();
+                for (at, len) in runs.iter() {
+                    v[at..at + len].fill(0);
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// Copy `len` bytes at `from` of another locked buffer to `offset`.
+    pub fn copy_from(&mut self, offset: usize, src: &ReadView<'_>, from: usize, len: usize) {
+        let bytes = src.get(from, len);
+        let out = self.slice_mut(offset, len);
+        match bytes {
+            Some(b) => out.copy_from_slice(b),
             None => out.fill(0),
         }
     }
@@ -375,14 +553,7 @@ impl HostPtr {
     /// must not touch this one.
     pub fn write_with<R>(&self, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let off = self.offset;
-        sim_core::san::on_host_access(self.buf.inner.id, off, len, true);
-        let mut data = self.buf.inner.data.lock();
-        assert!(
-            off + len <= data.len,
-            "HostPtr::write_with: range {off}..+{len} out of bounds (len {})",
-            data.len
-        );
-        f(&mut data.materialize()[off..off + len])
+        f(self.buf.write_view([(off, len)]).slice_mut(off, len))
     }
 }
 
@@ -527,20 +698,15 @@ mod tests {
     }
 
     #[test]
-    fn strided_read_write_round_trip() {
+    fn strided_read_gathers_rows() {
         let b = HostBuf::from_vec((0u8..24).collect());
         // 3 rows of 2 bytes, 8 apart, starting at 1: {1,2}, {9,10}, {17,18}.
         let mut out = vec![0u8; 6];
         b.read_strided(1, 8, 2, 3, &mut out);
         assert_eq!(out, vec![1, 2, 9, 10, 17, 18]);
-        let c = HostBuf::alloc(24);
-        c.write_strided(1, 8, 2, 3, &out);
-        assert_eq!(c.read(0, 4), vec![0, 1, 2, 0]);
-        assert_eq!(c.read(9, 2), vec![9, 10]);
-        assert_eq!(c.read(17, 2), vec![17, 18]);
         // Degenerate shapes are no-ops.
         b.read_strided(0, 8, 0, 3, &mut []);
-        c.write_strided(0, 8, 2, 0, &[]);
+        b.read_strided(0, 8, 2, 0, &mut []);
     }
 
     #[test]
@@ -552,10 +718,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed buffer")]
-    fn strided_write_oob_panics() {
+    fn views_move_many_runs_under_one_lock() {
+        let a = HostBuf::from_vec((0u8..32).collect());
+        let b = HostBuf::alloc(32);
+        {
+            let mut to = b.write_view([(0, 2), (10, 3)]);
+            let from = a.read_view([(4, 5)]);
+            to.copy_from(0, &from, 4, 2);
+            to.copy_from(10, &from, 6, 3);
+            to.write(20, &[9, 9]);
+            assert_eq!(from.get(30, 2), Some(&[30u8, 31][..]));
+        }
+        assert_eq!(b.read(0, 3), vec![4, 5, 0]);
+        assert_eq!(b.read(10, 3), vec![6, 7, 8]);
+        assert_eq!(b.read(20, 2), vec![9, 9]);
+    }
+
+    #[test]
+    fn views_of_a_never_written_buffer_read_zeros() {
+        let fresh = HostBuf::alloc(64);
+        let dst = HostBuf::from_vec(vec![0xaa; 8]);
+        {
+            let from = fresh.read_view([(8, 8)]);
+            assert_eq!(from.get(8, 8), None, "zeros are not materialized");
+            let mut out = [0xffu8; 4];
+            from.read_into(60, &mut out);
+            assert_eq!(out, [0; 4]);
+            dst.write_view([(2, 4)]).copy_from(2, &from, 40, 4);
+        }
+        assert!(!fresh.is_materialized());
+        assert_eq!(dst.read(0, 8), vec![0xaa, 0xaa, 0, 0, 0, 0, 0xaa, 0xaa]);
+        // A write view that writes nothing leaves its buffer lazy.
+        drop(fresh.write_view([]));
+        assert!(!fresh.is_materialized());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn read_view_oob_panics() {
         let b = HostBuf::alloc(16);
-        b.write_strided(4, 8, 2, 3, &[0u8; 6]);
+        let _ = b.read_view([]).get(12, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn write_view_oob_panics() {
+        let b = HostBuf::alloc(16);
+        b.write_view([]).write(usize::MAX, &[1]);
     }
 
     #[test]

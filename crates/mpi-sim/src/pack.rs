@@ -4,16 +4,16 @@
 //! to/from a contiguous representation in chunk-sized pieces — O(total)
 //! overall even when a message is packed in many chunks, which matters for
 //! the pipelined rendezvous path. Cursors walk a shared [`Plan`]'s stride
-//! program (usually a plan-cache hit, so creating one allocates nothing),
-//! and whole rows of a `Strided2D` plan are moved by one pitched bulk copy
-//! instead of per-run dispatch.
+//! program (usually a plan-cache hit, so creating one allocates nothing)
+//! and move every run of a chunk under one lock of the user buffer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use hostmem::HostPtr;
+use hostmem::{HostPtr, Runs, WriteView};
 
-use crate::flat::{Layout, Segment};
-use crate::plan::{Plan, Walker};
+use crate::flat::Segment;
+use crate::plan::{Batch, Plan, Walker};
 
 /// Streaming packer: reads a non-contiguous layout (`plan` relative to
 /// `base`) and produces the packed byte stream incrementally.
@@ -33,27 +33,6 @@ pub struct UnpackCursor {
     consumed: usize,
 }
 
-/// Whole rows of a strided plan from packed offset `at` that fit in `room`
-/// bytes, as `(first row offset, pitch, width, rows)`; the cursors hand
-/// those to one pitched copy when there are at least two (a lone row gains
-/// nothing over the generic path).
-fn strided_run(plan: &Plan, at: usize, room: usize) -> Option<(isize, usize, usize, usize)> {
-    if let Layout::Strided2D {
-        first,
-        pitch,
-        width,
-        height,
-    } = *plan.layout()
-    {
-        let row = at / width;
-        let rows = (room / width).min(height - row);
-        if at.is_multiple_of(width) && rows >= 2 {
-            return Some((first + (row * pitch) as isize, pitch, width, rows));
-        }
-    }
-    None
-}
-
 fn abs_offset(base: &HostPtr, rel: isize) -> usize {
     let off = base.offset() as isize + rel;
     assert!(
@@ -62,6 +41,19 @@ fn abs_offset(base: &HostPtr, rel: isize) -> usize {
         base.offset(),
     );
     off as usize
+}
+
+/// A batch of runs as absolute runs of the buffer at `base`.
+fn host_runs(base: &HostPtr, (first, stride, len, count): Batch) -> Runs {
+    // A negative stride puts the last run lowest: it must not fall before
+    // the buffer either.
+    abs_offset(base, first + (count as isize - 1) * stride);
+    Runs {
+        offset: abs_offset(base, first),
+        stride,
+        len,
+        count,
+    }
 }
 
 impl PackCursor {
@@ -93,26 +85,25 @@ impl PackCursor {
     /// Pack the next `out.len()` bytes of the stream into `out`. Panics if
     /// fewer bytes remain.
     pub fn pack_into(&mut self, out: &mut [u8]) {
-        let buf = self.base.buf();
-        let mut pos = 0;
-        while pos < out.len() {
-            let room = out.len() - pos;
-            if let Some((off, pitch, width, rows)) =
-                strided_run(&self.plan, self.produced + pos, room)
-            {
-                let src = abs_offset(&self.base, off);
-                buf.read_strided(src, pitch, width, rows, &mut out[pos..pos + rows * width]);
-                pos += rows * width;
-                self.walker = self.plan.walker(self.produced + pos);
-                continue;
-            }
-            let (off, take) = self
-                .plan
-                .next_piece(&mut self.walker, room)
-                .expect("PackCursor: packed past the end of the datatype");
-            buf.read_into(abs_offset(&self.base, off), &mut out[pos..pos + take]);
-            pos += take;
+        if out.is_empty() {
+            return;
         }
+        assert!(
+            self.produced + out.len() <= self.plan.total(),
+            "PackCursor: packed past the end of the datatype"
+        );
+        let base = &self.base;
+        let mut rows = self.plan.rows(self.walker, out.len());
+        let from = base
+            .buf()
+            .read_view(rows.clone().flat_map(|b| host_runs(base, b).iter()));
+        let mut pos = 0;
+        for batch in rows.by_ref() {
+            let runs = host_runs(base, batch);
+            from.gather(runs, &mut out[pos..pos + runs.bytes()]);
+            pos += runs.bytes();
+        }
+        self.walker = rows.walker;
         self.produced += out.len();
     }
 
@@ -153,27 +144,61 @@ impl UnpackCursor {
     /// Scatter the next `data.len()` bytes of the packed stream. Panics if
     /// that exceeds the layout's remaining capacity.
     pub fn unpack_from(&mut self, data: &[u8]) {
-        let buf = self.base.buf();
-        let mut pos = 0;
-        while pos < data.len() {
-            let room = data.len() - pos;
-            if let Some((off, pitch, width, rows)) =
-                strided_run(&self.plan, self.consumed + pos, room)
-            {
-                let dst = abs_offset(&self.base, off);
-                buf.write_strided(dst, pitch, width, rows, &data[pos..pos + rows * width]);
-                pos += rows * width;
-                self.walker = self.plan.walker(self.consumed + pos);
-                continue;
-            }
-            let (off, take) = self
-                .plan
-                .next_piece(&mut self.walker, room)
-                .expect("UnpackCursor: unpacked past the end of the datatype");
-            buf.write(abs_offset(&self.base, off), &data[pos..pos + take]);
-            pos += take;
+        self.unpack(
+            data.len(),
+            || data,
+            |to, data, runs, packed| to.scatter(runs, &data[packed]),
+        );
+    }
+
+    /// Scatter the next `len` bytes of the packed stream straight from the
+    /// host buffer at `src` (a staging vbuf), holding the user buffer's
+    /// lock and then the vbuf's.
+    pub fn unpack_from_host(&mut self, src: &HostPtr, len: usize) {
+        assert_ne!(
+            src.buf().id(),
+            self.base.buf().id(),
+            "UnpackCursor: source and destination are the same buffer"
+        );
+        let s = src.offset();
+        self.unpack(
+            len,
+            || src.buf().read_view([(s, len)]),
+            |to, from, runs, packed| to.scatter_from(runs, from, s + packed.start),
+        );
+    }
+
+    /// Walk the next `len` packed bytes under one write view of the user
+    /// buffer: `open` yields the source once the view is held, and `put`
+    /// moves one batch of runs (absolute runs, packed range relative to
+    /// this call).
+    fn unpack<S>(
+        &mut self,
+        len: usize,
+        open: impl FnOnce() -> S,
+        put: impl Fn(&mut WriteView<'_>, &S, Runs, Range<usize>),
+    ) {
+        if len == 0 {
+            return;
         }
-        self.consumed += data.len();
+        assert!(
+            self.consumed + len <= self.plan.total(),
+            "UnpackCursor: unpacked past the end of the datatype"
+        );
+        let base = &self.base;
+        let mut rows = self.plan.rows(self.walker, len);
+        let mut to = base
+            .buf()
+            .write_view(rows.clone().flat_map(|b| host_runs(base, b).iter()));
+        let src = open();
+        let mut pos = 0;
+        for batch in rows.by_ref() {
+            let runs = host_runs(base, batch);
+            put(&mut to, &src, runs, pos..pos + runs.bytes());
+            pos += runs.bytes();
+        }
+        self.walker = rows.walker;
+        self.consumed += len;
     }
 }
 
@@ -288,6 +313,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "same buffer")]
+    fn unpacking_a_buffer_into_itself_panics() {
+        let buf = HostBuf::alloc(16);
+        let mut u = UnpackCursor::new(buf.base(), segs(&[(0, 4)]));
+        u.unpack_from_host(&buf.ptr(8), 4);
+    }
+
+    #[test]
     #[should_panic(expected = "past the end")]
     fn overpack_panics() {
         let buf = HostBuf::alloc(16);
@@ -297,11 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn strided_fast_path_matches_generic() {
-        // 6 rows of 3 bytes at pitch 8 — a Strided2D plan, so whole-row
-        // spans go through the pitched bulk copy. Chunk boundaries that
-        // split a row force the generic path mid-stream; results must be
-        // identical either way.
+    fn strided_chunks_match_whole_pack() {
+        // 6 rows of 3 bytes at pitch 8 — a Strided2D plan. Chunk
+        // boundaries that split a row must resume mid-run; results must
+        // equal the whole pack either way.
         let src = HostBuf::from_vec((0u8..64).collect());
         let s = segs(&[(1, 3), (9, 3), (17, 3), (25, 3), (33, 3), (41, 3)]);
         let expect = PackCursor::new(src.base(), s.clone()).pack_all();

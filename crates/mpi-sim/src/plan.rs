@@ -177,6 +177,18 @@ impl Plan {
         Some((off, take))
     }
 
+    /// The next `len` packed bytes from `w` on, as batches of runs: whole
+    /// runs along a block's innermost dimension come as one batch, a
+    /// clipped run as a batch of one. Panics (while iterating) if the range
+    /// runs past the packed size.
+    pub(crate) fn rows(&self, w: Walker, len: usize) -> Rows<'_> {
+        Rows {
+            plan: self,
+            walker: w,
+            left: len,
+        }
+    }
+
     /// Map the packed-byte range `[off, off+len)` to buffer-space pieces.
     /// Panics if the range exceeds the packed size.
     pub fn pieces(&self, off: usize, len: usize) -> Vec<Piece> {
@@ -185,15 +197,59 @@ impl Plan {
             "range [{off}, +{len}) exceeds packed size {}",
             self.total()
         );
-        let mut out = Vec::new();
-        let mut w = self.walker(off);
-        let mut left = len;
-        while left > 0 {
-            let p = self.next_piece(&mut w, left).expect("range within total");
-            left -= p.1;
-            out.push(p);
+        self.rows(self.walker(off), len)
+            .flat_map(|(first, stride, len, count)| {
+                (0..count as isize).map(move |i| (first + i * stride, len))
+            })
+            .collect()
+    }
+}
+
+/// `count` runs of `len` bytes, `stride` apart, the first at buffer offset
+/// `first`: `(first, stride, len, count)`.
+pub(crate) type Batch = (isize, isize, usize, usize);
+
+/// The batches of a packed range (see [`Plan::rows`]); `walker` ends
+/// past the last one yielded.
+#[derive(Clone)]
+pub(crate) struct Rows<'a> {
+    plan: &'a Plan,
+    pub(crate) walker: Walker,
+    left: usize,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Batch;
+
+    fn next(&mut self) -> Option<Batch> {
+        if self.left == 0 {
+            return None;
         }
-        out
+        let (plan, w) = (self.plan, &mut self.walker);
+        let b = plan
+            .program
+            .blocks()
+            .get(w.block)
+            .expect("packed range within total");
+        let batch = if w.within > 0 || self.left < b.len {
+            let (off, take) = plan.next_piece(w, self.left).expect("run within block");
+            (off, 0, take, 1)
+        } else if let Some(&(c0, s0)) = b.dims().first() {
+            let k = (self.left / b.len).min(c0 - w.run % c0);
+            let batch = (b.run_offset(w.run), s0, b.len, k);
+            w.run += k;
+            if w.run == b.runs() {
+                w.run = 0;
+                w.block += 1;
+            }
+            batch
+        } else {
+            // A lone run: the common block of an irregular layout.
+            w.block += 1;
+            (b.offset, 0, b.len, 1)
+        };
+        self.left -= batch.2 * batch.3;
+        Some(batch)
     }
 }
 

@@ -222,8 +222,7 @@ impl RecvSink for HostRecvSink {
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize) {
         assert_eq!(idx, self.absorbed_upto, "host sink: out-of-order chunk");
         sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
-        let data = src.read(len);
-        self.cursor.unpack_from(&data);
+        self.cursor.unpack_from_host(&src, len);
         self.absorbed_upto = idx + 1;
         self.consumed += len;
     }

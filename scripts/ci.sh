@@ -28,6 +28,9 @@ echo "==> benchmark tests (virtual-time identity guards)"
 # 1024-rank virt_ms exactly.
 cargo test --release --offline --manifest-path ncbench/Cargo.toml
 
+echo "==> micro bench smoke (every case once, so none can rot unseen)"
+MICRO_ITERS=1 cargo bench -q -p bench --bench micro > /dev/null
+
 echo "==> pipeline bench smoke (plan cache + adaptive policy guards)"
 cargo run --release -q -p bench --bin pipeline_bench -- \
     --iters 4 --out /tmp/BENCH_pipeline_smoke.json > /dev/null

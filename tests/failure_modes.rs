@@ -54,6 +54,24 @@ fn datatype_reaching_past_device_allocation_faults() {
 }
 
 #[test]
+#[should_panic(expected = "outside any live allocation")]
+fn indexed_datatype_reaching_past_device_allocation_faults() {
+    GpuCluster::new(2).run(|env| {
+        // Irregular blocks, so the device pack runs the gather kernel
+        // instead of a 2-D copy; the last block lies 64 MiB past the
+        // allocation and must fault there.
+        let t = Datatype::indexed(&[(1, 0), (2, 3), (1, 16 << 20)], &Datatype::float());
+        t.commit();
+        let dev = env.gpu.malloc(4096);
+        if env.comm.rank() == 0 {
+            env.comm.send(dev, 1, &t, 1, 0);
+        } else {
+            env.comm.recv(dev, 1, &t, 0, 0);
+        }
+    });
+}
+
+#[test]
 #[should_panic(expected = "exceeds host buffer")]
 fn datatype_reaching_past_host_buffer_is_rejected() {
     MpiWorld::new(2).run(|comm| {

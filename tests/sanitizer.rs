@@ -7,7 +7,8 @@
 //! workloads under `Collect` and requires zero reports: the instrumented
 //! library itself must be clean.
 
-use gpu_nc_repro::mpi_sim::MpiConfig;
+use gpu_nc_repro::mpi_sim::pack::PackCursor;
+use gpu_nc_repro::mpi_sim::{Datatype, MpiConfig};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, recv_mv2, send_mv2, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_sim::Gpu;
@@ -82,6 +83,53 @@ fn waited_copy_is_clean() {
 #[should_panic(expected = "simsan")]
 fn missed_wait_race_panics_in_panic_mode() {
     missed_wait_workload(SanitizerMode::Panic, false);
+}
+
+/// Seeded bug #1b: a CPU pack of a host vector datatype while an async
+/// D2H copy into the same buffer is still in flight. The pack cursor
+/// takes the buffer's lock once but reports every run it reads, so the
+/// race is caught when the DMA lands in a run and not when it lands in a
+/// hole between runs.
+fn host_pack_race_reports(dma_at: usize) -> Vec<Report> {
+    let sim = Sim::new();
+    sim.set_sanitizer(SanitizerMode::Collect);
+    sim.spawn("packer", move || {
+        let gpu = Gpu::tesla_c2050(0);
+        let stream = gpu.create_stream();
+        let dev = gpu.malloc(64);
+        // Runs of 4 bytes at 0, 16, 32, ..., 112; holes of 12 between.
+        let dt = Datatype::vector(8, 1, 4, &Datatype::float());
+        dt.commit();
+        let host = HostBuf::alloc(128);
+        let c = gpu.memcpy_async(host.ptr(dma_at), dev, 4, &stream);
+        let packed = PackCursor::from_plan(host.base(), dt.plan(1)).pack_all();
+        assert_eq!(packed.len(), 32);
+        c.wait();
+    });
+    sim.run();
+    sim.sanitizer_reports()
+}
+
+#[test]
+fn host_pack_racing_a_dma_into_a_run_is_reported() {
+    let reports = host_pack_race_reports(48);
+    let races: Vec<&Report> = reports
+        .iter()
+        .filter(|r| r.kind == ReportKind::Race)
+        .collect();
+    assert_eq!(races.len(), 1, "one racing run: {reports:?}");
+    assert_eq!(races[0].process, "packer");
+    assert!(
+        races[0].message.contains("host buffer") && races[0].message.contains("memcpy_async"),
+        "report names the buffer and the in-flight op: {}",
+        races[0].message
+    );
+}
+
+#[test]
+fn host_pack_racing_a_dma_into_a_hole_is_clean() {
+    let reports = host_pack_race_reports(52);
+    assert!(reports.is_empty(), "a hole is not read: {reports:?}");
 }
 
 /// Seeded bug #2: `MpiConfig::fault_leak_vbuf` makes the sender's engine

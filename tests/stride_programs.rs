@@ -10,11 +10,14 @@
 //! the runs themselves, total, run count, layout, byte range, packed-range
 //! pieces, the TEMPI canonical form and the NIC descriptor with its
 //! prefixes. The reference classifiers below are the pre-program
-//! algorithms, kept here as the oracle.
+//! algorithms, kept here as the oracle. The host pack/unpack cursors are
+//! checked against the same expansion byte for byte.
 
 use gpu_nc_repro::mpi_sim::flat::{FlatType, Layout, Segment};
+use gpu_nc_repro::mpi_sim::pack::{PackCursor, UnpackCursor};
 use gpu_nc_repro::mpi_sim::plan::Piece;
 use gpu_nc_repro::mpi_sim::{Canonical, Datatype, SubarrayOrder, WireDescriptor};
+use hostmem::HostBuf;
 use xorshift::XorShift64;
 
 /// A random datatype tree of at most `depth` derived levels.
@@ -364,5 +367,143 @@ fn the_paper_vector_commits_to_one_block() {
             width: 4,
             height: 1 << 20
         }
+    );
+}
+
+/// Random chunk lengths summing to `total`, empty chunks included.
+fn random_split(rng: &mut XorShift64, total: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut left = total;
+    while left > 0 {
+        let c = rng.gen_range(0, left.min(40) + 1);
+        out.push(c);
+        left -= c;
+    }
+    out
+}
+
+/// Pack and unpack `count` elements of `dt` through the host cursors in
+/// random chunk splits and compare with the oracle walk of
+/// `FlatType::expanded`. `written` chooses buffers of random bytes or
+/// never-written (all-zero, lazy) ones. Returns the plan's layout.
+fn check_cursors(dt: &Datatype, count: usize, written: bool, rng: &mut XorShift64) -> Layout {
+    dt.commit();
+    let oracle = dt.flat().expanded(count);
+    let plan = dt.plan(count);
+    let ctx = || format!("{dt:?} x{count} written={written}");
+    let lo = oracle.iter().map(|s| s.offset).min().unwrap_or(0).min(0);
+    let hi = oracle
+        .iter()
+        .map(|s| s.offset + s.len as isize)
+        .max()
+        .unwrap_or(0)
+        .max(0);
+    // The buffer spans the layout and its base pointer, with 3 bytes of
+    // slack on both sides.
+    let (at, n) = ((3 - lo) as usize, (hi - lo) as usize + 6);
+    let runs = || {
+        oracle
+            .iter()
+            .map(|s| ((at as isize + s.offset) as usize, s.len))
+    };
+    let initial = |rng: &mut XorShift64| {
+        let mut v = vec![0u8; n];
+        if written {
+            rng.fill_bytes(&mut v);
+        }
+        v
+    };
+    let buffer = |bytes: &[u8]| {
+        if written {
+            HostBuf::from_vec(bytes.to_vec())
+        } else {
+            HostBuf::alloc(n)
+        }
+    };
+
+    // Pack.
+    let src_bytes = initial(rng);
+    let src = buffer(&src_bytes);
+    let expect: Vec<u8> = runs()
+        .flat_map(|(o, l)| src_bytes[o..o + l].to_vec())
+        .collect();
+    let mut packer = PackCursor::from_plan(src.ptr(at), plan.clone());
+    let mut packed = Vec::new();
+    for c in random_split(rng, expect.len()) {
+        let mut chunk = vec![0xeeu8; c];
+        packer.pack_into(&mut chunk);
+        packed.extend_from_slice(&chunk);
+    }
+    assert!(packer.finished(), "pack finished: {}", ctx());
+    assert_eq!(packed, expect, "pack: {}", ctx());
+    assert_eq!(
+        src.is_materialized(),
+        written,
+        "pack never writes: {}",
+        ctx()
+    );
+
+    // Unpack from a vector, then from a staging buffer into a second
+    // destination with the same starting bytes.
+    let dst_bytes = initial(rng);
+    let mut want = dst_bytes.clone();
+    let mut pos = 0;
+    for (o, l) in runs() {
+        want[o..o + l].copy_from_slice(&packed[pos..pos + l]);
+        pos += l;
+    }
+    let split = random_split(rng, packed.len());
+    let dst = buffer(&dst_bytes);
+    let mut from_vec = UnpackCursor::from_plan(dst.ptr(at), plan.clone());
+    let mut pos = 0;
+    for &c in &split {
+        from_vec.unpack_from(&packed[pos..pos + c]);
+        pos += c;
+    }
+    assert!(from_vec.finished(), "unpack finished: {}", ctx());
+    assert_eq!(dst.read(0, n), want, "unpack from a vector: {}", ctx());
+
+    // A never-written vbuf holds the all-zero stream of a never-written
+    // source.
+    let stage = HostBuf::alloc(packed.len() + 5);
+    if written {
+        stage.write(5, &packed);
+    }
+    let dst2 = buffer(&dst_bytes);
+    let mut from_host = UnpackCursor::from_plan(dst2.ptr(at), plan.clone());
+    let mut pos = 0;
+    for &c in &split {
+        from_host.unpack_from_host(&stage.ptr(5 + pos), c);
+        pos += c;
+    }
+    assert!(from_host.finished(), "unpack finished: {}", ctx());
+    assert_eq!(dst2.read(0, n), want, "unpack from a vbuf: {}", ctx());
+    assert_eq!(
+        stage.is_materialized(),
+        written,
+        "vbuf read lazily: {}",
+        ctx()
+    );
+    plan.layout().clone()
+}
+
+#[test]
+fn host_cursors_match_the_reference_expansion() {
+    let mut rng = XorShift64::new(0xC0_25025);
+    let (mut strided, mut irregular) = (0, 0);
+    for i in 0..6000 {
+        let dt = random_type(&mut rng, 3);
+        let count = rng.gen_range(1, 5);
+        match check_cursors(&dt, count, i % 2 == 0, &mut rng) {
+            Layout::Strided2D { .. } => strided += 1,
+            Layout::Irregular => irregular += 1,
+            Layout::Contiguous { .. } => {}
+        }
+    }
+    // Strided2D plans are one batch per chunk in the cursors and irregular
+    // ones many; the mix must reach both.
+    assert!(
+        strided > 100 && irregular > 100,
+        "layout mix: {strided} strided, {irregular} irregular"
     );
 }
